@@ -28,8 +28,11 @@ std::vector<FeatureVector> TreeFeatures(
 FeatureVector TreeFeatureOf(const Graph& g,
                             const std::vector<FrequentTree>& basis) {
   FeatureVector f(basis.size(), 0.0);
+  // One index of `g` for the whole basis; trees never prune with shells.
+  MatchIndex index(g, kNoTrussShells);
   for (size_t dim = 0; dim < basis.size(); ++dim) {
-    if (ContainsSubgraph(g, basis[dim].tree)) f[dim] = 1.0;
+    PatternPlan plan(basis[dim].tree, kNoTrussShells);
+    if (SubgraphMatcher(plan, index).Exists()) f[dim] = 1.0;
   }
   return f;
 }

@@ -13,9 +13,9 @@ namespace vqi {
 /// Immutable compressed-sparse-row view of a Graph: one offsets array plus a
 /// single contiguous neighbor/edge-label array, so the matcher's inner loops
 /// walk flat memory instead of chasing per-vertex vector headers. Rows keep
-/// the source graph's sorted-by-neighbor-id order, which is what makes the
-/// legacy matcher over CSR step-identical to the old pointer-based code (the
-/// differential harness in tests/differential_test.cc relies on this).
+/// the source graph's sorted-by-neighbor-id order, which fixes the order the
+/// matcher visits anchored candidates and so the order it delivers
+/// embeddings in.
 class CsrGraph {
  public:
   CsrGraph() = default;

@@ -1,69 +1,64 @@
 #include "metrics/coverage.h"
 
-#include <algorithm>
-#include <unordered_map>
+#include <utility>
 
 #include "common/logging.h"
 
 namespace vqi {
 
-Bitset CoverageBits(const GraphDatabase& db, const Graph& pattern,
-                    const MatchOptions& options) {
-  Bitset bits(db.size());
-  const auto& graphs = db.graphs();
-  for (size_t i = 0; i < graphs.size(); ++i) {
-    if (ContainsSubgraph(graphs[i], pattern, options)) bits.Set(i);
-  }
-  return bits;
+namespace {
+
+uint64_t EdgeKey(VertexId u, VertexId v) {
+  if (u > v) std::swap(u, v);
+  return (static_cast<uint64_t>(u) << 32) | v;
+}
+
+}  // namespace
+
+Bitset CoverageBits(const GraphDatabase& db, const Graph& pattern) {
+  return DbCoverageIndex(db).Bits(pattern);
 }
 
 double DbCoverage(const GraphDatabase& db, const Graph& pattern) {
-  if (db.empty()) return 0.0;
-  return static_cast<double>(CoverageBits(db, pattern).Count()) /
-         static_cast<double>(db.size());
+  return DbCoverageIndex(db).Fraction(pattern);
 }
 
 double DbSetCoverage(const GraphDatabase& db,
                      const std::vector<Graph>& patterns) {
   if (db.empty()) return 0.0;
+  DbCoverageIndex index(db);
   Bitset covered(db.size());
-  for (const Graph& p : patterns) covered.UnionWith(CoverageBits(db, p));
+  for (const Graph& p : patterns) covered.UnionWith(index.Bits(p));
   return static_cast<double>(covered.Count()) /
          static_cast<double>(db.size());
+}
+
+DbCoverageIndex::DbCoverageIndex(const GraphDatabase& db) {
+  indexes_.reserve(db.size());
+  for (const Graph& g : db.graphs()) indexes_.emplace_back(g, kNoTrussShells);
+}
+
+Bitset DbCoverageIndex::Bits(const Graph& pattern) const {
+  Bitset bits(indexes_.size());
+  PatternPlan plan(pattern, kNoTrussShells);
+  for (size_t i = 0; i < indexes_.size(); ++i) {
+    if (SubgraphMatcher(plan, indexes_[i]).Exists()) bits.Set(i);
+  }
+  return bits;
+}
+
+double DbCoverageIndex::Fraction(const Graph& pattern) const {
+  if (indexes_.empty()) return 0.0;
+  return static_cast<double>(Bits(pattern).Count()) /
+         static_cast<double>(indexes_.size());
 }
 
 Bitset NetworkCoverageBits(const Graph& network,
                            const std::vector<Edge>& network_edges,
                            const Graph& pattern,
                            const NetworkCoverageOptions& options) {
-  Bitset bits(network_edges.size());
-  if (pattern.NumEdges() == 0) return bits;
-
-  // Edge key -> index in network_edges.
-  std::unordered_map<uint64_t, size_t> edge_index;
-  edge_index.reserve(network_edges.size() * 2);
-  auto key = [](VertexId u, VertexId v) {
-    if (u > v) std::swap(u, v);
-    return (static_cast<uint64_t>(u) << 32) | v;
-  };
-  for (size_t i = 0; i < network_edges.size(); ++i) {
-    edge_index[key(network_edges[i].u, network_edges[i].v)] = i;
-  }
-
-  MatchOptions match;
-  match.match_vertex_labels = options.match_vertex_labels;
-  match.max_embeddings = options.max_embeddings;
-  match.max_steps = options.max_steps;
-  SubgraphMatcher matcher(pattern, network, match);
-  std::vector<Edge> pattern_edges = pattern.Edges();
-  matcher.Enumerate([&](const Embedding& embedding) {
-    for (const Edge& pe : pattern_edges) {
-      auto it = edge_index.find(key(embedding[pe.u], embedding[pe.v]));
-      if (it != edge_index.end()) bits.Set(it->second);
-    }
-    return true;
-  });
-  return bits;
+  if (pattern.NumEdges() == 0) return Bitset(network_edges.size());
+  return NetworkCoverageIndex(network, network_edges).Bits(pattern, options);
 }
 
 double NetworkSetCoverage(const Graph& network,
@@ -71,12 +66,48 @@ double NetworkSetCoverage(const Graph& network,
                           const NetworkCoverageOptions& options) {
   std::vector<Edge> edges = network.Edges();
   if (edges.empty()) return 0.0;
+  NetworkCoverageIndex index(network, edges);
   Bitset covered(edges.size());
-  for (const Graph& p : patterns) {
-    covered.UnionWith(NetworkCoverageBits(network, edges, p, options));
-  }
+  for (const Graph& p : patterns) covered.UnionWith(index.Bits(p, options));
   return static_cast<double>(covered.Count()) /
          static_cast<double>(edges.size());
+}
+
+NetworkCoverageIndex::NetworkCoverageIndex(
+    const Graph& network, const std::vector<Edge>& network_edges)
+    : index_(network), num_edges_(network_edges.size()) {
+  edge_position_.reserve(network_edges.size() * 2);
+  for (size_t i = 0; i < network_edges.size(); ++i) {
+    edge_position_[EdgeKey(network_edges[i].u, network_edges[i].v)] = i;
+  }
+}
+
+Bitset NetworkCoverageIndex::Bits(const Graph& pattern,
+                                  const NetworkCoverageOptions& options) const {
+  Bitset bits(num_edges_);
+  if (pattern.NumEdges() == 0) return bits;
+  MatchOptions match;
+  match.match_vertex_labels = options.match_vertex_labels;
+  match.max_embeddings = options.max_embeddings;
+  match.max_steps = options.max_steps;
+  PatternPlan plan(pattern);
+  SubgraphMatcher matcher(plan, index_, match);
+  std::vector<Edge> pattern_edges = pattern.Edges();
+  matcher.Enumerate([&](const Embedding& embedding) {
+    for (const Edge& pe : pattern_edges) {
+      auto it = edge_position_.find(EdgeKey(embedding[pe.u], embedding[pe.v]));
+      if (it != edge_position_.end()) bits.Set(it->second);
+    }
+    return true;
+  });
+  return bits;
+}
+
+double NetworkCoverageIndex::Fraction(
+    const Graph& pattern, const NetworkCoverageOptions& options) const {
+  if (num_edges_ == 0) return 0.0;
+  return static_cast<double>(Bits(pattern, options).Count()) /
+         static_cast<double>(num_edges_);
 }
 
 }  // namespace vqi

@@ -2,11 +2,13 @@
 #define VQLIB_METRICS_COVERAGE_H_
 
 #include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "common/bitset.h"
 #include "graph/graph.h"
 #include "graph/graph_database.h"
+#include "match/candidate_index.h"
 #include "match/vf2.h"
 
 namespace vqi {
@@ -17,8 +19,9 @@ namespace vqi {
 /// least one pattern.
 
 /// Bitset over db.graphs() order: bit i set iff pattern occurs in graph i.
-Bitset CoverageBits(const GraphDatabase& db, const Graph& pattern,
-                    const MatchOptions& options = {});
+/// Builds a DbCoverageIndex for this one pattern; loops over many patterns
+/// should build one and reuse it.
+Bitset CoverageBits(const GraphDatabase& db, const Graph& pattern);
 
 /// Fraction of graphs covered by `pattern` alone.
 double DbCoverage(const GraphDatabase& db, const Graph& pattern);
@@ -26,6 +29,26 @@ double DbCoverage(const GraphDatabase& db, const Graph& pattern);
 /// Fraction of graphs covered by at least one pattern in `patterns`.
 double DbSetCoverage(const GraphDatabase& db,
                      const std::vector<Graph>& patterns);
+
+/// One MatchIndex per graph of a collection, built once and shared by every
+/// pattern a call scores against it (CATAPULT select, MIDAS, the VQI builder
+/// and maintainer). The checks are unbudgeted existence tests, so every
+/// index kind gives the same bits. The indexes skip truss shells: on
+/// molecule-sized graphs the decomposition costs more than its pruning
+/// saves. Valid until `db` changes.
+class DbCoverageIndex {
+ public:
+  explicit DbCoverageIndex(const GraphDatabase& db);
+
+  /// Bitset over db.graphs() order: bit i set iff `pattern` occurs in graph i.
+  Bitset Bits(const Graph& pattern) const;
+
+  /// Fraction of graphs covered by `pattern` (0 on an empty collection).
+  double Fraction(const Graph& pattern) const;
+
+ private:
+  std::vector<MatchIndex> indexes_;
+};
 
 /// --- Network coverage (TATTOO semantics) ----------------------------------
 /// On a single large network, coverage of a pattern is the fraction of the
@@ -40,7 +63,9 @@ struct NetworkCoverageOptions {
 };
 
 /// Bitset over the network's edge list (g.Edges() order): bit set iff that
-/// edge is used by one of the enumerated embeddings of `pattern`.
+/// edge is used by one of the enumerated embeddings of `pattern`. Builds a
+/// NetworkCoverageIndex for this one pattern; loops over many patterns
+/// should build one and reuse it (same bits).
 Bitset NetworkCoverageBits(const Graph& network,
                            const std::vector<Edge>& network_edges,
                            const Graph& pattern,
@@ -50,6 +75,30 @@ Bitset NetworkCoverageBits(const Graph& network,
 double NetworkSetCoverage(const Graph& network,
                           const std::vector<Graph>& patterns,
                           const NetworkCoverageOptions& options = {});
+
+/// What network coverage needs besides the pattern, built once per network
+/// and shared by every pattern a call scores (TATTOO select, network
+/// maintenance, distributed TATTOO, the summarizer): the network's
+/// MatchIndex, truss shells included, and the map from edge key to position
+/// in `network_edges`. Valid while `network` is unchanged.
+class NetworkCoverageIndex {
+ public:
+  NetworkCoverageIndex(const Graph& network,
+                       const std::vector<Edge>& network_edges);
+
+  /// NetworkCoverageBits(network, network_edges, pattern, options).
+  Bitset Bits(const Graph& pattern,
+              const NetworkCoverageOptions& options = {}) const;
+
+  /// Fraction of the edges `pattern` covers (0 on an edgeless network).
+  double Fraction(const Graph& pattern,
+                  const NetworkCoverageOptions& options = {}) const;
+
+ private:
+  MatchIndex index_;
+  std::unordered_map<uint64_t, size_t> edge_position_;
+  size_t num_edges_ = 0;
+};
 
 }  // namespace vqi
 

@@ -37,6 +37,9 @@ std::vector<FrequentTree> MaintainClosedTrees(
     const BatchUpdate& update, const TreeMinerConfig& config) {
   std::unordered_set<GraphId> deleted(update.deletions.begin(),
                                       update.deletions.end());
+  // Every tree is matched against the same additions: one index per added
+  // graph for the whole call (trees never prune with truss shells).
+  MatchIndexCache indexes(kNoTrussShells);
   std::vector<FrequentTree> maintained;
   for (FrequentTree& t : trees) {
     // 1. Drop deleted ids.
@@ -45,9 +48,10 @@ std::vector<FrequentTree> MaintainClosedTrees(
         [&](GraphId id) { return deleted.count(id) > 0; });
     t.support.erase(end, t.support.end());
     // 2. Match against additions (only those actually in the db now).
+    PatternPlan plan(t.tree, kNoTrussShells);
     for (const Graph& added : update.additions) {
       if (!db.Contains(added.id())) continue;
-      if (ContainsSubgraph(db.Get(added.id()), t.tree)) {
+      if (SubgraphMatcher(plan, *indexes.Get(db, added.id())).Exists()) {
         t.support.push_back(added.id());
       }
     }

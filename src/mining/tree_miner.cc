@@ -60,7 +60,11 @@ std::vector<FrequentTree> MineFrequentTrees(const GraphDatabase& db,
   }
   for (const FrequentTree& t : level) result.push_back(t);
 
-  // Levels 2..max_edges: pendant-edge growth.
+  // Levels 2..max_edges: pendant-edge growth. Every candidate is matched
+  // against graphs of its parent's support set, so each graph's index is
+  // built once for the whole call; tree patterns (all shells 2) never prune
+  // with truss shells, so the indexes skip them.
+  MatchIndexCache indexes(kNoTrussShells);
   for (size_t edges = 2; edges <= config.max_edges && !level.empty();
        ++edges) {
     std::vector<FrequentTree> next;
@@ -82,9 +86,10 @@ std::vector<FrequentTree> MineFrequentTrees(const GraphDatabase& db,
             std::string code = CanonicalCode(candidate);
             if (!seen_codes.insert(code).second) continue;
             // Support counting restricted to the parent's support set.
+            PatternPlan plan(candidate, kNoTrussShells);
             std::vector<GraphId> support;
             for (GraphId gid : parent.support) {
-              if (ContainsSubgraph(db.Get(gid), candidate)) {
+              if (SubgraphMatcher(plan, *indexes.Get(db, gid)).Exists()) {
                 support.push_back(gid);
               }
             }

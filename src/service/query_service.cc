@@ -571,6 +571,8 @@ QueryResult QueryService::RunMatch(const QueryRequest& request,
     result.status = request.allow_partial ? Status::OK()
                                           : Status::DeadlineExceeded(why);
   };
+  // Pattern-side prep is compiled once per request, not per target or slice.
+  const PatternPlan plan(request.pattern);
   auto match_one = [&](const Graph& target) -> Status {
     if (CancelRequested(request)) {
       return Status::Cancelled("request cancelled between targets");
@@ -579,8 +581,8 @@ QueryResult QueryService::RunMatch(const QueryRequest& request,
       return Status::DeadlineExceeded("deadline expired between targets");
     }
     uint64_t count = 0;
-    Status s = CountWithDeadline(request.pattern, target, request, admitted,
-                                 &count, &result);
+    Status s = CountWithDeadline(plan, target, request, admitted, &count,
+                                 &result);
     if (s.ok() || s.code() == StatusCode::kDeadlineExceeded) {
       // On deadline, `count` is the partial lower bound from the final
       // slice — still a subset of the true answer.
@@ -633,7 +635,7 @@ QueryResult QueryService::RunSuggest(const QueryRequest& request) {
   return result;
 }
 
-Status QueryService::CountWithDeadline(const Graph& pattern,
+Status QueryService::CountWithDeadline(const PatternPlan& pattern,
                                        const Graph& target,
                                        const QueryRequest& request,
                                        const Stopwatch& admitted,
@@ -656,18 +658,15 @@ Status QueryService::CountWithDeadline(const Graph& pattern,
   // One index fetch per (request, target): slices reuse the same immutable
   // snapshot, and the cache revalidates against the database's content
   // version so a maintainer rewrite of this graph forces a rebuild here.
-  std::shared_ptr<const MatchIndex> index;
-  if (options_.use_match_index) {
-    opts.use_index = true;
-    index = index_cache_.Get(db_, target.id());
-  }
+  std::shared_ptr<const MatchIndex> index =
+      index_cache_.Get(db_, target.id());
   if (request.deadline_ms <= 0) {
     opts.max_steps = 0;
     if (CancelRequested(request)) {
       return Status::Cancelled("request cancelled before matching");
     }
     VQI_RETURN_IF_ERROR(slice_fault());
-    SubgraphMatcher matcher(pattern, target, index, opts);
+    SubgraphMatcher matcher(pattern, *index, opts);
     *count = matcher.CountEmbeddings();
     result->match_steps += matcher.steps();
     result->match_slices += 1;
@@ -685,7 +684,7 @@ Status QueryService::CountWithDeadline(const Graph& pattern,
     }
     VQI_RETURN_IF_ERROR(slice_fault());
     opts.max_steps = slice;
-    SubgraphMatcher matcher(pattern, target, index, opts);
+    SubgraphMatcher matcher(pattern, *index, opts);
     // Each slice recounts from scratch, so overwrite rather than accumulate:
     // after a deadline the last value is the best lower bound found.
     *count = matcher.CountEmbeddings();

@@ -118,21 +118,13 @@ struct QueryServiceOptions {
   /// shards stay distinct in one registry. Instruments with their own label
   /// dimension (shed priority, cache_shard, pool) append it to these.
   obs::Labels metric_labels = {};
-  /// Serve kMatchCount requests through the per-graph MatchIndex (CSR
-  /// adjacency + candidate index, see docs/matching.md): indexes are built
-  /// lazily per target graph, cached, and revalidated against
-  /// GraphDatabase::ContentVersion, so maintainer batches that rewrite a
-  /// graph force a rebuild on next use. Off = the legacy direct-adjacency
-  /// oracle path. Appended field — keep last so existing aggregate
-  /// initializers stay valid.
-  bool use_match_index = true;
 };
 
 // Same positional-initializer guard as ServiceStats: every member carries
 // an explicit default, so `QueryServiceOptions{}` is always the documented
 // configuration and a mid-struct insertion fails here instead of silently
 // reconfiguring brace-initialized call sites.
-static_assert(FieldCount<QueryServiceOptions>() == 14,
+static_assert(FieldCount<QueryServiceOptions>() == 13,
               "QueryServiceOptions changed shape: append fields at the end, "
               "audit brace initializers, then update this count");
 
@@ -217,12 +209,12 @@ class QueryService {
   QueryResult Run(const QueryRequest& request, const Stopwatch& admitted);
   QueryResult RunMatch(const QueryRequest& request, const Stopwatch& admitted);
   QueryResult RunSuggest(const QueryRequest& request);
-  /// Counts embeddings of `pattern` in `target` in cooperative step slices.
-  /// Returns OK when the count completed, kDeadlineExceeded when the
-  /// deadline expired first (*count then holds the partial lower bound from
-  /// the final slice), or an injected vf2_slice fault status. Accumulates
-  /// slice/step telemetry into `result`.
-  Status CountWithDeadline(const Graph& pattern, const Graph& target,
+  /// Counts embeddings of the request's compiled `pattern` in `target` in
+  /// cooperative step slices. Returns OK when the count completed,
+  /// kDeadlineExceeded when the deadline expired first (*count then holds the
+  /// partial lower bound from the final slice), or an injected vf2_slice
+  /// fault status. Accumulates slice/step telemetry into `result`.
+  Status CountWithDeadline(const PatternPlan& pattern, const Graph& target,
                            const QueryRequest& request,
                            const Stopwatch& admitted, uint64_t* count,
                            QueryResult* result);
@@ -273,7 +265,8 @@ class QueryService {
   const GraphDatabase& db_;
   QueryServiceOptions options_;
   /// Lazy per-graph CSR + candidate indexes, revalidated against the
-  /// database's content versions on every fetch (see docs/matching.md).
+  /// database's content versions on every fetch: every kMatchCount request
+  /// matches through them (see docs/matching.md).
   MatchIndexCache index_cache_;
   // Declared before cache_/pool_: both register instruments here during
   // construction and hold references for their lifetime.

@@ -852,6 +852,7 @@ ServiceStats ShardedRouter::AggregateSnapshot() const {
     total.coalesce_waiters += s.coalesce_waiters;
     total.coalesce_fanout += s.coalesce_fanout;
     total.coalesce_detached += s.coalesce_detached;
+    total.index_builds += s.index_builds;
   }
   obs::HistogramSnapshot latency = latency_ms_->Snapshot();
   total.p50_latency_ms = latency.Quantile(0.50);

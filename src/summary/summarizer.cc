@@ -19,8 +19,9 @@ GraphSummary SummarizeWithPatterns(const Graph& g,
   // Precompute per-pattern coverage bitsets.
   std::vector<Bitset> coverage;
   coverage.reserve(vocabulary.size());
+  NetworkCoverageIndex index(g, edges);
   for (const Graph& p : vocabulary) {
-    coverage.push_back(NetworkCoverageBits(g, edges, p, config.coverage));
+    coverage.push_back(index.Bits(p, config.coverage));
   }
 
   Bitset covered(edges.size());

@@ -68,12 +68,12 @@ StatusOr<DistributedTattooResult> RunDistributedTattoo(
   result.stats.pooled_candidates = pooled.size();
   watch.Restart();
   std::vector<Edge> network_edges = network.Edges();
+  NetworkCoverageIndex index(network, network_edges);
   std::vector<ScoredCandidate> scored;
   scored.reserve(pooled.size());
   for (Graph& pattern : pooled) {
     ScoredCandidate c;
-    c.coverage = NetworkCoverageBits(network, network_edges, pattern,
-                                     config.base.coverage);
+    c.coverage = index.Bits(pattern, config.base.coverage);
     c.feature = PatternStructureFeature(pattern);
     c.load = CognitiveLoad(pattern, config.base.load_model);
     c.pattern = std::move(pattern);

@@ -147,10 +147,10 @@ StatusOr<NetworkMaintenanceReport> ApplyNetworkBatch(
 
     // --- Score (full-network coverage) and swap. ------------------------------
     std::vector<Edge> network_edges = network.Edges();
+    NetworkCoverageIndex index(network, network_edges);
     auto score = [&](Graph pattern) {
       ScoredCandidate c;
-      c.coverage = NetworkCoverageBits(network, network_edges, pattern,
-                                       config.base.coverage);
+      c.coverage = index.Bits(pattern, config.base.coverage);
       c.feature = PatternStructureFeature(pattern);
       c.load = CognitiveLoad(pattern, config.base.load_model);
       c.pattern = std::move(pattern);

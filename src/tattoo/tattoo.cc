@@ -49,12 +49,12 @@ StatusOr<TattooResult> RunTattoo(const Graph& network,
   // Stage 3: score (budgeted edge coverage against the *whole* network) and
   // select greedily.
   std::vector<Edge> network_edges = network.Edges();
+  NetworkCoverageIndex index(network, network_edges);
   std::vector<ScoredCandidate> scored;
   scored.reserve(candidates.size());
   for (Graph& pattern : candidates) {
     ScoredCandidate c;
-    c.coverage =
-        NetworkCoverageBits(network, network_edges, pattern, config.coverage);
+    c.coverage = index.Bits(pattern, config.coverage);
     c.feature = PatternStructureFeature(pattern);
     c.load = CognitiveLoad(pattern, config.load_model);
     c.pattern = std::move(pattern);

@@ -27,8 +27,9 @@ StatusOr<VqiBuildResult> BuildVqiForDatabase(const GraphDatabase& db,
   AttributePanel attributes =
       AttributePanel::FromStats(db.ComputeLabelStats(), dict);
   PatternPanel patterns = PanelWithBasics(attributes);
+  DbCoverageIndex index(db);
   for (const Graph& p : selection->patterns()) {
-    patterns.AddCanned(p, DbCoverage(db, p));
+    patterns.AddCanned(p, index.Fraction(p));
   }
   result.vqi = VisualQueryInterface(DataSourceKind::kGraphCollection,
                                     std::move(attributes), std::move(patterns));
@@ -55,8 +56,9 @@ StatusOr<VqiBuildResult> BuildVqiForNetwork(const Graph& network,
   VqiBuildResult result;
   AttributePanel attributes = AttributePanel::FromStats(stats, dict);
   PatternPanel patterns = PanelWithBasics(attributes);
+  NetworkCoverageIndex index(network, network.Edges());
   for (const Graph& p : selection->patterns) {
-    patterns.AddCanned(p, NetworkSetCoverage(network, {p}, config.coverage));
+    patterns.AddCanned(p, index.Fraction(p, config.coverage));
   }
   result.vqi = VisualQueryInterface(DataSourceKind::kSingleNetwork,
                                     std::move(attributes), std::move(patterns));

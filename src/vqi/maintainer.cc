@@ -25,7 +25,8 @@ StatusOr<MaintenanceReport> VqiMaintainer::ApplyBatch(
   const std::vector<Graph>& patterns = state_.patterns();
   std::vector<double> coverages;
   coverages.reserve(patterns.size());
-  for (const Graph& p : patterns) coverages.push_back(DbCoverage(db, p));
+  DbCoverageIndex index(db);
+  for (const Graph& p : patterns) coverages.push_back(index.Fraction(p));
   vqi.pattern_panel().ReplaceCanned(patterns, coverages);
 
   // The database just changed under anything serving from it; give caches a

@@ -1,19 +1,22 @@
-// Differential harness for the matcher core: the indexed engine (CSR
-// adjacency + CandidateIndex pruning, MatchOptions::use_index) must be
-// observationally equivalent to the legacy direct-adjacency oracle on every
-// seeded (pattern, target) pair. Three contracts are pinned per pair:
+// Differential harness for the matcher: on every seeded (pattern, target)
+// pair, the engine's answers are checked against tests/naive_matcher.h, an
+// independent backtracker over the public Graph API that shares no code with
+// src/match/. Every pair runs through both index kinds the engine sees in
+// production — a shared MatchIndex with truss shells (serving, coverage
+// loops) and the private truss-free index of the one-off form — and pins:
 //
-//  1. Identical embedding sets (compared in sorted canonical order) and
-//     identical counts on unbudgeted runs.
-//  2. hit_step_limit mirrors budget exhaustion identically for both engines:
-//     for any max_steps budget B, hit ⟺ (full-run steps > B). Asserted at
-//     B = indexed_steps/2 (tight: typically both engines clip) and at
-//     B = legacy_steps (exactly enough: neither engine clips).
-//  3. The index only prunes: indexed steps <= legacy steps on every pair.
+//  1. Identical embedding sets to the oracle (sorted), on unbudgeted runs.
+//  2. One embedding sequence: both index kinds deliver the same embeddings
+//     in the same order, and truss shells only prune (shared steps <=
+//     private steps).
+//  3. The step-budget contract: for B in {steps/2, steps-1, steps}, a run
+//     budgeted at B delivers exactly the first k embeddings of the
+//     unbudgeted run, in order, and hit_step_limit() holds iff steps > B.
 //
 // Pairs are drawn from the BA / WS / molecule generators at mixed label
-// alphabet sizes, with induced and edge-label-insensitive variants mixed in.
-// Everything is seeded — failures reproduce deterministically.
+// alphabet sizes, with induced and edge-label-insensitive variants mixed in,
+// plus wildcard-dummy variants. Everything is seeded — failures reproduce
+// deterministically.
 
 #include <gtest/gtest.h>
 
@@ -26,47 +29,84 @@
 #include "common/rng.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
+#include "match/candidate_index.h"
 #include "match/pattern_utils.h"
 #include "match/vf2.h"
+#include "naive_matcher.h"
 
 namespace vqi {
 namespace {
 
-// Full-run safety budget: pairs whose legacy enumeration exceeds this are
-// skipped for set equality (tallied below; the seeds keep this rare).
+// Full-run safety budget: pairs whose enumeration exceeds this are skipped
+// (tallied below; the seeds keep this rare).
 constexpr uint64_t kStepBudget = 300000;
-// Embedding sets larger than this are compared by count only.
+// Embedding sequences are recorded up to this length; longer answers are
+// compared by count beyond it.
 constexpr size_t kSetCap = 30000;
 
 struct TestPair {
   std::string name;
   Graph pattern;
   Graph target;
-  MatchOptions options;  // use_index overridden per engine below
+  MatchOptions options;  // budget fields overridden per run below
 };
+
+// The two index kinds a search can run over.
+enum class IndexKind { kShared, kPrivate };
 
 struct RunResult {
   uint64_t count = 0;
   uint64_t steps = 0;
   bool hit_limit = false;
-  std::vector<Embedding> embeddings;  // first kSetCap, sorted by caller
+  std::vector<Embedding> embeddings;  // delivery order, first kSetCap
 };
 
-RunResult RunEngine(const TestPair& pair, bool use_index, uint64_t max_steps) {
+RunResult RunEngine(const TestPair& pair, IndexKind kind, uint64_t max_steps) {
   MatchOptions options = pair.options;
-  options.use_index = use_index;
   options.max_steps = max_steps;
   options.max_embeddings = 0;
-  SubgraphMatcher matcher(pair.pattern, pair.target, options);
   RunResult run;
-  run.count = matcher.Enumerate([&run](const Embedding& e) {
+  auto record = [&run](const Embedding& e) {
     if (run.embeddings.size() < kSetCap) run.embeddings.push_back(e);
     return true;
-  });
-  run.steps = matcher.steps();
-  run.hit_limit = matcher.hit_step_limit();
-  std::sort(run.embeddings.begin(), run.embeddings.end());
+  };
+  if (kind == IndexKind::kShared) {
+    const PatternPlan plan(pair.pattern);
+    const MatchIndex index(pair.target);
+    SubgraphMatcher matcher(plan, index, options);
+    run.count = matcher.Enumerate(record);
+    run.steps = matcher.steps();
+    run.hit_limit = matcher.hit_step_limit();
+  } else {
+    SubgraphMatcher matcher(pair.pattern, pair.target, options);
+    run.count = matcher.Enumerate(record);
+    run.steps = matcher.steps();
+    run.hit_limit = matcher.hit_step_limit();
+  }
   return run;
+}
+
+std::vector<Embedding> Sorted(std::vector<Embedding> embeddings) {
+  std::sort(embeddings.begin(), embeddings.end());
+  return embeddings;
+}
+
+// Contracts 1 and 2 for one pair. Returns false when the pair is too
+// expensive to enumerate fully at kStepBudget.
+bool CheckAgainstOracle(const TestPair& pair) {
+  RunResult shared = RunEngine(pair, IndexKind::kShared, kStepBudget);
+  RunResult owned = RunEngine(pair, IndexKind::kPrivate, kStepBudget);
+  if (shared.hit_limit || owned.hit_limit) return false;
+  EXPECT_LE(shared.steps, owned.steps);
+  EXPECT_EQ(shared.count, owned.count);
+  EXPECT_EQ(shared.embeddings, owned.embeddings);
+  std::vector<Embedding> expected =
+      naive::AllEmbeddings(pair.pattern, pair.target, pair.options);
+  EXPECT_EQ(shared.count, expected.size());
+  if (expected.size() <= kSetCap) {
+    EXPECT_EQ(Sorted(shared.embeddings), expected);
+  }
+  return true;
 }
 
 std::vector<TestPair> MakePairs() {
@@ -154,73 +194,54 @@ TEST(DifferentialTest, CorpusHasTargetSize) {
   EXPECT_GE(MakePairs().size(), 190u);
 }
 
-TEST(DifferentialTest, IndexedMatchesLegacyOracleOnSeededCorpus) {
+TEST(DifferentialTest, EngineMatchesNaiveOracleOnSeededCorpus) {
   std::vector<TestPair> pairs = MakePairs();
   size_t verified = 0;
   size_t skipped_over_budget = 0;
   for (const TestPair& pair : pairs) {
     SCOPED_TRACE(pair.name);
-    RunResult legacy = RunEngine(pair, /*use_index=*/false, kStepBudget);
-    if (legacy.hit_limit) {
-      // Too expensive to enumerate fully at this seed; the budgeted-flag
-      // contract for heavy pairs is covered by StepLimitBehaviorIsIdentical.
+    if (CheckAgainstOracle(pair)) {
+      ++verified;
+    } else {
       ++skipped_over_budget;
-      continue;
     }
-    RunResult indexed = RunEngine(pair, /*use_index=*/true, kStepBudget);
-    ASSERT_FALSE(indexed.hit_limit);
-
-    // Contract 3: pruning only ever shrinks the search tree.
-    EXPECT_LE(indexed.steps, legacy.steps);
-    // Contract 1: identical answers.
-    ASSERT_EQ(indexed.count, legacy.count);
-    if (legacy.count <= kSetCap) {
-      ASSERT_EQ(indexed.embeddings, legacy.embeddings);
-    }
-    ++verified;
   }
   // The corpus must stay overwhelmingly verifiable at full depth.
   EXPECT_GE(verified, 150u);
   EXPECT_LE(skipped_over_budget, pairs.size() / 10);
 }
 
-TEST(DifferentialTest, StepLimitBehaviorIsIdentical) {
+TEST(DifferentialTest, BudgetedRunIsPrefixOfFullRun) {
   std::vector<TestPair> pairs = MakePairs();
   size_t checked = 0;
   for (const TestPair& pair : pairs) {
     SCOPED_TRACE(pair.name);
-    RunResult legacy = RunEngine(pair, /*use_index=*/false, kStepBudget);
-    RunResult indexed = RunEngine(pair, /*use_index=*/true, kStepBudget);
-    if (legacy.hit_limit || indexed.hit_limit) continue;
-
-    // Tight budget: both engines' flags must mirror budget exhaustion
-    // exactly — hit ⟺ (full-run steps > budget) — and because the index only
-    // prunes, an indexed clip implies a legacy clip.
-    const uint64_t tight = std::max<uint64_t>(1, indexed.steps / 2);
-    RunResult legacy_tight = RunEngine(pair, /*use_index=*/false, tight);
-    RunResult indexed_tight = RunEngine(pair, /*use_index=*/true, tight);
-    EXPECT_EQ(legacy_tight.hit_limit, legacy.steps > tight);
-    EXPECT_EQ(indexed_tight.hit_limit, indexed.steps > tight);
-    if (indexed_tight.hit_limit) {
-      EXPECT_TRUE(legacy_tight.hit_limit);
+    for (IndexKind kind : {IndexKind::kShared, IndexKind::kPrivate}) {
+      SCOPED_TRACE(kind == IndexKind::kShared ? "shared" : "private");
+      RunResult full = RunEngine(pair, kind, kStepBudget);
+      if (full.hit_limit) continue;
+      const uint64_t steps = full.steps;
+      // A budget of 0 means unlimited, so only positive budgets apply.
+      for (uint64_t budget : {steps / 2, steps - 1, steps}) {
+        if (budget == 0) continue;
+        SCOPED_TRACE("budget " + std::to_string(budget));
+        RunResult clipped = RunEngine(pair, kind, budget);
+        EXPECT_EQ(clipped.hit_limit, steps > budget);
+        EXPECT_LE(clipped.steps, budget);
+        ASSERT_LE(clipped.count, full.count);
+        if (!clipped.hit_limit) {
+          EXPECT_EQ(clipped.count, full.count);
+        }
+        // Exactly the first k embeddings of the full run, in order.
+        ASSERT_LE(clipped.embeddings.size(), full.embeddings.size());
+        EXPECT_TRUE(std::equal(clipped.embeddings.begin(),
+                               clipped.embeddings.end(),
+                               full.embeddings.begin()));
+      }
+      ++checked;
     }
-    // A clipped run reports a lower bound, never an overcount.
-    EXPECT_LE(legacy_tight.count, legacy.count);
-    EXPECT_LE(indexed_tight.count, indexed.count);
-
-    // Exactly-enough budget: neither engine clips and both still return the
-    // full answer.
-    RunResult legacy_exact =
-        RunEngine(pair, /*use_index=*/false, std::max<uint64_t>(1, legacy.steps));
-    RunResult indexed_exact =
-        RunEngine(pair, /*use_index=*/true, std::max<uint64_t>(1, indexed.steps));
-    EXPECT_FALSE(legacy_exact.hit_limit);
-    EXPECT_FALSE(indexed_exact.hit_limit);
-    EXPECT_EQ(legacy_exact.count, legacy.count);
-    EXPECT_EQ(indexed_exact.count, indexed.count);
-    ++checked;
   }
-  EXPECT_GE(checked, 150u);
+  EXPECT_GE(checked, 300u);
 }
 
 TEST(DifferentialTest, WildcardDummySemanticsAgree) {
@@ -231,6 +252,7 @@ TEST(DifferentialTest, WildcardDummySemanticsAgree) {
   gen::LabelConfig labels;
   labels.num_vertex_labels = 4;
   Graph target = gen::BarabasiAlbert(60, 2, labels, rng);
+  size_t verified = 0;
   for (size_t i = 0; i < 10; ++i) {
     std::optional<Graph> pattern =
         RandomConnectedSubgraph(target, 3 + rng.UniformInt(3), rng);
@@ -245,14 +267,10 @@ TEST(DifferentialTest, WildcardDummySemanticsAgree) {
     pair.pattern = std::move(*pattern);
     pair.target = target;
     pair.options.dummy_is_wildcard = true;
-    RunResult legacy = RunEngine(pair, /*use_index=*/false, kStepBudget);
-    RunResult indexed = RunEngine(pair, /*use_index=*/true, kStepBudget);
-    ASSERT_FALSE(legacy.hit_limit);
-    ASSERT_FALSE(indexed.hit_limit);
-    EXPECT_LE(indexed.steps, legacy.steps);
-    ASSERT_EQ(indexed.count, legacy.count);
-    ASSERT_EQ(indexed.embeddings, legacy.embeddings);
+    ASSERT_TRUE(CheckAgainstOracle(pair));
+    ++verified;
   }
+  EXPECT_GE(verified, 8u);
 }
 
 }  // namespace

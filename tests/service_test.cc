@@ -47,7 +47,6 @@ TEST(AggregateDefaultsTest, ZeroArgBraceInitIsTheDocumentedConfiguration) {
   EXPECT_DOUBLE_EQ(options.coalesce_retry_capacity, 8.0);
   EXPECT_EQ(options.metrics, nullptr);
   EXPECT_TRUE(options.metric_labels.empty());
-  EXPECT_TRUE(options.use_match_index);
 
   ServiceStats stats{};
   EXPECT_EQ(stats.admitted, 0u);
@@ -657,7 +656,7 @@ TEST(QueryServiceTest, MaintainerBatchRebuildsOwnerGraphMatchIndex) {
   midas.drift_threshold = 0.0;
   VqiMaintainer maintainer(std::move(built->catapult_state), midas);
 
-  QueryService service(db);  // defaults: use_match_index on
+  QueryService service(db);
   maintainer.AddBatchListener([&service] { service.InvalidateCache(); });
 
   QueryRequest request;
@@ -753,8 +752,10 @@ TEST(ShardedRouterTest, ShardIndexesStayConsistentAcrossEpochInvalidation) {
     }
     return total;
   };
-  // Every member got indexed exactly once on the scatter.
+  // Every member got indexed exactly once on the scatter, and the router's
+  // aggregate counts the same builds as the per-shard sum.
   EXPECT_EQ(total_builds(), db.size());
+  EXPECT_EQ(router.AggregateSnapshot().index_builds, total_builds());
 
   // Per-shard epoch bump: the owner shard recounts (its collection-scoped
   // cache entry is gone) but rebuilds nothing — the content versions inside
@@ -764,6 +765,7 @@ TEST(ShardedRouterTest, ShardIndexesStayConsistentAcrossEpochInvalidation) {
   ASSERT_TRUE(again.status.ok());
   EXPECT_EQ(again.embedding_count, before.embedding_count);
   EXPECT_EQ(total_builds(), db.size());
+  EXPECT_EQ(router.AggregateSnapshot().index_builds, total_builds());
 
   // Collection-level rewrite of the victim (the maintainer's delete +
   // re-add path), then a router over the updated collection: results must

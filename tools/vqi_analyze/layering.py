@@ -1,7 +1,6 @@
 """Pass: include-layering DAG for the whole tree.
 
-vqi_lint enforces three hand-written per-directory allowlists (common/,
-net/, shard/); this pass generalizes them into ONE declared total layer
+The one home of the repo's include-layering rules: ONE declared total layer
 order covering every src/ directory plus tools/ (the CLI). The rule:
 
   a file may include headers from its own directory, or from any directory
@@ -11,7 +10,10 @@ Same-rank cross-directory includes are violations (the ranks below put
 independent subsystems — e.g. graph/ and obs/ — at the same level exactly
 because neither may depend on the other). A directory missing from the
 table is an error: growing the tree means declaring where the new
-subsystem sits. On top of the ranks, the pass runs SCC detection over the
+subsystem sits, and a quoted include must name its directory (`"x.h"`
+alone is reported too). Directories in ALLOWED_INCLUDES are held to an explicit
+list on top of the ranks, for layers that the order alone would let reach
+too far. On top of the ranks, the pass runs SCC detection over the
 file-level include graph, so a header cycle inside one directory is also
 reported.
 """
@@ -35,7 +37,19 @@ LAYER_ORDER = (
     ("cli",),
 )
 
+# Directories that may include only their own headers plus the listed ones,
+# whatever their rank. common/ needs no entry: rank 0 already allows nothing
+# else. net/ and shard/ sit near the top, so the order alone would let them
+# reach into the matcher (match/) or the interface model (vqi/): the wire
+# layer sees only the serving and sharding APIs, and the router composes
+# QueryServices over a partitioned collection without reaching behind them.
+ALLOWED_INCLUDES = {
+    "net": ("common", "obs", "service", "shard"),
+    "shard": ("common", "obs", "graph", "service"),
+}
+
 RULE_ORDER = "layer-order"
+RULE_ALLOWLIST = "layer-allowlist"
 RULE_UNKNOWN = "layer-unknown"
 RULE_CYCLE = "include-cycle"
 
@@ -132,15 +146,29 @@ def run(files):
             })
             continue
         include_graph.setdefault(rel, set())
+        allowed = ALLOWED_INCLUDES.get(d_from)
         for line, target in facts.includes:
             inc_rel = resolve_include(rel, target)
             d_to = dir_of(inc_rel)
             if d_to is None:
+                diagnostics.append({
+                    "rel": rel, "line": line, "rule": RULE_UNKNOWN,
+                    "message": f"include of `{target}` names no layer "
+                               "directory; include headers by their "
+                               "src/-relative path",
+                })
                 continue
             if inc_rel in files:
                 include_graph[rel].add(inc_rel)
             if d_to == d_from:
                 continue
+            if allowed is not None and d_to not in allowed:
+                diagnostics.append({
+                    "rel": rel, "line": line, "rule": RULE_ALLOWLIST,
+                    "message": f"`{d_from}` may include only its own headers"
+                               " and " + ", ".join(f"`{d}/`" for d in allowed)
+                               + f"; `{target}` is outside that list",
+                })
             if d_to not in table:
                 diagnostics.append({
                     "rel": rel, "line": line, "rule": RULE_UNKNOWN,

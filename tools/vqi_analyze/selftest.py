@@ -122,6 +122,27 @@ class Waiter {
     "src/net/socket.h": """\
 #pragma once
 """,
+    # layer-allowlist: net and shard rank above match, so only their
+    # explicit lists stop them reaching into the matcher. The clean twins
+    # include what those lists allow.
+    "src/net/wire.h": """\
+#pragma once
+#include "match/vf2.h"
+""",
+    "src/shard/router.h": """\
+#pragma once
+#include "match/vf2.h"
+""",
+    "src/net/server.h": """\
+#pragma once
+#include "service/query_service.h"
+#include "shard/router.h"
+""",
+    "src/shard/replica.h": """\
+#pragma once
+#include "graph/graph.h"
+#include "service/query_service.h"
+""",
     # include-cycle: two graph/ headers including each other.
     "src/graph/a.h": """\
 #pragma once
@@ -131,9 +152,14 @@ class Waiter {
 #pragma once
 #include "graph/a.h"
 """,
-    # layer-unknown: a directory absent from LAYER_ORDER.
+    # layer-unknown: a directory absent from LAYER_ORDER, and an include
+    # that names no directory at all.
     "src/widgets/widget.h": """\
 #pragma once
+""",
+    "src/common/bare.h": """\
+#pragma once
+#include "bare_impl.h"
 """,
     # metric-catalog: one documented literal, one that drifted.
     "src/service/metrics_user.cc": """\
@@ -169,22 +195,23 @@ vqi_add_test(pure_test vqi_graph)
     }, indent=2),
 }
 
-# Every rule the analyzer knows, with the file its planted violation lives
-# in. A rule missing from the report fails the self-test.
+# Every rule the analyzer knows, with the files its planted violations live
+# in. A rule missing from any of them fails the self-test.
 PLANTED = {
-    "lock-cycle": "src/service/pair.h",
-    "lock-order-baseline": "lock_order.expected",
-    "pool-submit-under-lock": "src/service/blocker.h",
-    "sleep-under-lock": "src/service/blocker.h",
-    "socket-under-lock": "src/service/blocker.h",
-    "index-build-under-lock": "src/service/blocker.h",
-    "condvar-wait-loop": "src/service/waiter.h",
-    "layer-order": "src/common/clock.h",
-    "layer-unknown": "src/widgets/widget.h",
-    "include-cycle": "src/graph/a.h",
-    "metric-catalog": "src/service/metrics_user.cc",
-    "sanitizer-gating": "tests/CMakeLists.txt",
-    "unused-waiver": "src/service/blocker.h",
+    "lock-cycle": ("src/service/pair.h",),
+    "lock-order-baseline": ("lock_order.expected",),
+    "pool-submit-under-lock": ("src/service/blocker.h",),
+    "sleep-under-lock": ("src/service/blocker.h",),
+    "socket-under-lock": ("src/service/blocker.h",),
+    "index-build-under-lock": ("src/service/blocker.h",),
+    "condvar-wait-loop": ("src/service/waiter.h",),
+    "layer-order": ("src/common/clock.h",),
+    "layer-allowlist": ("src/net/wire.h", "src/shard/router.h"),
+    "layer-unknown": ("src/widgets/widget.h", "src/common/bare.h"),
+    "include-cycle": ("src/graph/a.h",),
+    "metric-catalog": ("src/service/metrics_user.cc",),
+    "sanitizer-gating": ("tests/CMakeLists.txt",),
+    "unused-waiver": ("src/service/blocker.h",),
 }
 
 
@@ -217,16 +244,18 @@ def run():
         by_rule = {}
         for d in diags:
             by_rule.setdefault(d["rule"], []).append(d)
-        for rule, rel in sorted(PLANTED.items()):
+        for rule, rels in sorted(PLANTED.items()):
             hits = by_rule.get(rule, [])
-            check(any(rel in d["rel"] for d in hits),
-                  f"rule {rule} fires in {rel} "
-                  f"(hits: {[d['rel'] for d in hits]})")
+            for rel in rels:
+                check(any(rel in d["rel"] for d in hits),
+                      f"rule {rule} fires in {rel} "
+                      f"(hits: {[d['rel'] for d in hits]})")
         check(set(by_rule) == set(PLANTED),
               "no rule fires outside the planted corpus "
               f"(unexpected: {sorted(set(by_rule) - set(PLANTED))})")
-        stray = [d for rule, rel in PLANTED.items()
-                 for d in by_rule.get(rule, []) if rel not in d["rel"]]
+        stray = [d for rule, rels in PLANTED.items()
+                 for d in by_rule.get(rule, [])
+                 if not any(rel in d["rel"] for rel in rels)]
         check(not stray,
               "every diagnostic lands in its planted file (stray: "
               f"{[(d['rule'], d['rel'], d['line']) for d in stray]})")

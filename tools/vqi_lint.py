@@ -23,17 +23,6 @@ Rules (each has a stable id used in messages and the self-test):
                    identifiers (request_id, trace_id, uuid, ...) are rejected
                    outright — every distinct value mints a new series, which
                    is unbounded cardinality.
-  common-layering  Files in src/common/ may only #include "common/..." quoted
-                   headers — common is the bottom layer and must not reach up.
-  net-layering     Files in src/net/ may only #include quoted headers from
-                   common/, obs/, service/, shard/, or net/ — the wire layer
-                   sits on the service and sharding layers and must not reach
-                   into algorithm internals (graph/, match/, ...).
-  shard-layering   Files in src/shard/ may only #include quoted headers from
-                   common/, obs/, graph/, service/ (incl. resilience), or
-                   shard/ — the router composes QueryServices over a
-                   partitioned collection; it never reaches into the matcher
-                   (match/, vqi/, ...) behind the service API.
   no-analysis-optout
                    VQLIB_NO_THREAD_SAFETY_ANALYSIS may appear only in
                    src/common/mutex.h (and its definition in
@@ -45,6 +34,9 @@ Rules (each has a stable id used in messages and the self-test):
                    there silently forks the engine off the representation the
                    differential harness certifies. CSR construction itself
                    (csr_graph.cc) is the one sanctioned caller in src/match/.
+
+Include layering (common/, net/, shard/ and every other src/ directory) is
+enforced by the analyzer's layering pass, tools/vqi_analyze/layering.py.
 
 Exit status: 0 when clean, 1 when any rule fires, 2 on usage errors.
 """
@@ -80,7 +72,6 @@ NONDETERMINISM_RES = [
     (re.compile(r"\bmt19937(_64)?\b"), "std::mt19937"),
 ]
 
-QUOTED_INCLUDE_RE = re.compile(r"#\s*include\s*\"([^\"]+)\"")
 OPTOUT_RE = re.compile(r"\bVQLIB_NO_THREAD_SAFETY_ANALYSIS\b")
 
 # tools/vqi_analyze waiver grammar: `// vqi-analyze: allow(<rule>) <why>`.
@@ -103,15 +94,6 @@ HIGH_CARDINALITY_KEYS = {
     "id", "request_id", "trace_id", "session_id", "connection_id", "uuid",
     "query_id", "user_id",
 }
-
-# The wire layer may see the service API, the sharding layer, and the shared
-# bottom layers, but never the algorithm internals behind them.
-NET_ALLOWED_PREFIXES = ("common/", "obs/", "service/", "shard/", "net/")
-
-# The sharding layer partitions the graph collection (graph/) and composes
-# QueryServices + resilience clients (service/); the matcher stays behind
-# that API.
-SHARD_ALLOWED_PREFIXES = ("common/", "obs/", "graph/", "service/", "shard/")
 
 
 def strip_line_comment(line):
@@ -156,9 +138,6 @@ class Linter:
         is_mutex_header = rel == "src/common/mutex.h"
         is_annotations_header = rel == "src/common/thread_annotations.h"
         in_tests = rel.startswith("tests/")
-        in_common = rel.startswith("src/common/")
-        in_net = rel.startswith("src/net/")
-        in_shard = rel.startswith("src/shard/")
         is_vf2_impl = rel == "src/match/vf2.cc"
         try:
             text = path.read_text(encoding="utf-8")
@@ -216,34 +195,6 @@ class Linter:
                             f"label key '{key}' names a per-request "
                             "identifier: unbounded series cardinality")
 
-            if in_common:
-                match = QUOTED_INCLUDE_RE.search(line)
-                if match and not match.group(1).startswith("common/"):
-                    self.report(
-                        "common-layering", path, lineno,
-                        f'src/common may not include "{match.group(1)}" — '
-                        "common is the bottom layer")
-
-            if in_net:
-                match = QUOTED_INCLUDE_RE.search(line)
-                if match and not match.group(1).startswith(
-                        NET_ALLOWED_PREFIXES):
-                    self.report(
-                        "net-layering", path, lineno,
-                        f'src/net may not include "{match.group(1)}" — the '
-                        "wire layer sees only common/, obs/, service/, "
-                        "shard/, net/")
-
-            if in_shard:
-                match = QUOTED_INCLUDE_RE.search(line)
-                if match and not match.group(1).startswith(
-                        SHARD_ALLOWED_PREFIXES):
-                    self.report(
-                        "shard-layering", path, lineno,
-                        f'src/shard may not include "{match.group(1)}" — the '
-                        "router composes the service API over common/, obs/, "
-                        "graph/, service/, shard/")
-
             if is_vf2_impl and ADJACENCY_CALL_RE.search(line):
                 self.report(
                     "vf2-csr", path, lineno,
@@ -295,12 +246,6 @@ def self_test():
          'obs::Labels labels{{"__name", "x"}};\n'),
         ("metric-label", "src/scratch.cc",
          'r.GetCounter("vqi_x_total", "", {{"kind", "a"}, {"request_id", id}});\n'),
-        ("common-layering", "src/common/scratch.h",
-         '#include "obs/metrics.h"\n'),
-        ("net-layering", "src/net/scratch.h",
-         '#include "graph/graph.h"\n'),
-        ("shard-layering", "src/shard/scratch.h",
-         '#include "match/vf2.h"\n'),
         ("no-analysis-optout", "src/service/scratch.h",
          "void F() VQLIB_NO_THREAD_SAFETY_ANALYSIS;\n"),
         ("vf2-csr", "src/match/vf2.cc",
@@ -321,12 +266,7 @@ def self_test():
         ("tests/scratch_ok_test.cc",
          '#include "common/rng.h"\nvqi::Rng rng(42);\n'),
         ("src/net/scratch_ok.h",
-         '#include "service/query_service.h"\n'
-         '#include "shard/sharded_router.h"\n'
          'obs::Labels labels{{"pool", "http"}};\n'),
-        ("src/shard/scratch_ok.h",
-         '#include "graph/graph_database.h"\n'
-         '#include "service/resilience/service_client.h"\n'),
         # Replica-labeled series are bounded (R <= 64 replicas per shard), so
         # {shard, replica} must pass the cardinality rule.
         ("src/shard/scratch_replica_ok.h",
