@@ -136,14 +136,53 @@ StatusOr<CatapultResult> RunCatapult(const GraphDatabase& db,
       ScoreCandidates(db, std::move(candidates), config.load_model);
   std::vector<size_t> picked =
       GreedySelect(scored, config.budget, db.size(), config.weights);
-  for (size_t index : picked) {
-    result.state.patterns.push_back(scored[index].pattern);
-  }
+  std::vector<ScoredCandidate> selected;
+  for (size_t index : picked) selected.push_back(std::move(scored[index]));
   result.stats.select_seconds = watch.ElapsedSeconds();
 
-  // Drift baseline for MIDAS.
-  result.state.gfd = GraphletsOfDatabase(db);
+  // MIDAS's drift baseline and per-graph records, from the graphlet counts
+  // and the selected patterns' coverage bits.
+  GraphletCounts total;
+  result.state.records.reserve(db.size());
+  for (const Graph& g : db.graphs()) {
+    GraphRecord& record = result.state.records[g.id()];
+    record.version = db.ContentVersion(g.id());
+    record.graphlets = CountGraphlets(g);
+    total += record.graphlets;
+  }
+  result.state.gfd = NormalizeGraphlets(total);
+  RecordSelection(result.state, db, selected);
   return result;
+}
+
+void RecordSelection(CatapultState& state, const GraphDatabase& db,
+                     const std::vector<ScoredCandidate>& selected) {
+  state.patterns.clear();
+  for (const ScoredCandidate& c : selected) state.patterns.push_back(c.pattern);
+  state.recorded_patterns = state.patterns;
+  for (size_t i = 0; i < db.size(); ++i) {
+    Bitset& covered = state.records.at(db.graphs()[i].id()).covered;
+    covered = Bitset(selected.size());
+    for (size_t j = 0; j < selected.size(); ++j) {
+      if (selected[j].coverage.Test(i)) covered.Set(j);
+    }
+  }
+}
+
+std::vector<double> RecordedCoverages(const CatapultState& state) {
+  std::vector<size_t> counts(state.recorded_patterns.size(), 0);
+  for (const auto& [id, record] : state.records) {
+    for (size_t j = 0; j < counts.size(); ++j) {
+      counts[j] += record.covered.Test(j);
+    }
+  }
+  std::vector<double> fractions(counts.size(), 0.0);
+  if (state.records.empty()) return fractions;
+  for (size_t j = 0; j < counts.size(); ++j) {
+    fractions[j] = static_cast<double>(counts[j]) /
+                   static_cast<double>(state.records.size());
+  }
+  return fractions;
 }
 
 }  // namespace vqi

@@ -1,12 +1,15 @@
 #ifndef VQLIB_CATAPULT_CATAPULT_H_
 #define VQLIB_CATAPULT_CATAPULT_H_
 
+#include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "catapult/candidate_generator.h"
 #include "cluster/csg.h"
 #include "cluster/features.h"
 #include "cluster/kmedoids.h"
+#include "common/bitset.h"
 #include "common/status.h"
 #include "graph/graph_database.h"
 #include "metrics/cognitive_load.h"
@@ -44,6 +47,16 @@ struct CatapultConfig {
   uint64_t seed = 42;
 };
 
+/// What MIDAS keeps per data graph, so that a batch re-reads only the graphs
+/// it changed. Valid while `version` equals GraphDatabase::ContentVersion of
+/// the graph's id.
+struct GraphRecord {
+  uint64_t version = 0;
+  GraphletCounts graphlets;
+  /// Bit j set iff CatapultState::recorded_patterns[j] occurs in the graph.
+  Bitset covered;
+};
+
 /// Everything MIDAS needs to maintain a CATAPULT-built pattern set without
 /// rebuilding from scratch.
 struct CatapultState {
@@ -55,12 +68,24 @@ struct CatapultState {
   /// Feature vector of each cluster medoid, for nearest-cluster assignment
   /// of newly arriving graphs.
   std::vector<FeatureVector> medoid_features;
-  /// One summary graph per cluster (same index as cluster_members).
+  /// One summary graph per cluster (same index as cluster_members). MIDAS
+  /// rebuilds csgs[c] only when a major batch draws candidates from cluster
+  /// c, so until then it can lag the cluster's members.
   std::vector<ClusterSummaryGraph> csgs;
   /// The selected canned patterns.
   std::vector<Graph> patterns;
-  /// Graphlet frequency distribution of the database at build time.
+  /// Graphlet frequency distribution of the database after the build or the
+  /// last MIDAS batch: the baseline the next batch's drift is measured from.
   GraphletDistribution gfd;
+  /// One record per data graph, keyed by id. RunCatapult fills them from
+  /// the graphlet counts and coverage bits it computes anyway; each MIDAS
+  /// batch drops the records of ids that left and recomputes the ones whose
+  /// content version moved.
+  std::unordered_map<GraphId, GraphRecord> records;
+  /// The patterns the records' bits refer to. When `patterns` no longer
+  /// equals it (a caller edited the set), the next batch re-matches every
+  /// graph.
+  std::vector<Graph> recorded_patterns;
 };
 
 /// Per-stage timing and size statistics of one CATAPULT run.
@@ -101,6 +126,18 @@ StatusOr<CatapultResult> RunCatapult(const GraphDatabase& db,
 std::vector<ScoredCandidate> ScoreCandidates(const GraphDatabase& db,
                                              std::vector<Graph> candidates,
                                              const CognitiveLoadModel& model);
+
+/// Makes `selected` the state's pattern set and writes which graphs each one
+/// covers (its coverage bits, over db.graphs() order) into the records, which
+/// must hold an entry for every graph of `db`.
+void RecordSelection(CatapultState& state, const GraphDatabase& db,
+                     const std::vector<ScoredCandidate>& selected);
+
+/// Fraction of the recorded graphs that each of `state.recorded_patterns`
+/// occurs in (0 when there are no records), read from the records' bits.
+/// Equals DbCoverage(db, pattern) while the records are in sync with `db`,
+/// as they are after RunCatapult and after every MIDAS batch.
+std::vector<double> RecordedCoverages(const CatapultState& state);
 
 }  // namespace vqi
 

@@ -1,10 +1,21 @@
 #include "graph/graph_database.h"
 
 #include <algorithm>
+#include <atomic>
 
 #include "common/logging.h"
 
 namespace vqi {
+
+namespace {
+
+// One counter for every database in the process (see ContentVersion).
+uint64_t NextContentVersion() {
+  static std::atomic<uint64_t> counter{0};
+  return ++counter;
+}
+
+}  // namespace
 
 GraphId GraphDatabase::Add(Graph g) {
   GraphId id = g.id();
@@ -17,7 +28,7 @@ GraphId GraphDatabase::Add(Graph g) {
   VQI_CHECK(index_.find(id) == index_.end())
       << "graph id " << id << " already present";
   index_[id] = graphs_.size();
-  versions_[id] = ++version_counter_;
+  versions_[id] = NextContentVersion();
   graphs_.push_back(std::move(g));
   return id;
 }
@@ -33,7 +44,7 @@ bool GraphDatabase::Remove(GraphId id) {
   }
   graphs_.pop_back();
   index_.erase(it);
-  versions_[id] = ++version_counter_;
+  versions_[id] = NextContentVersion();
   return true;
 }
 

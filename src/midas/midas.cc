@@ -1,13 +1,15 @@
 #include "midas/midas.h"
 
 #include <algorithm>
+#include <iterator>
 #include <limits>
 #include <unordered_set>
 
 #include "cluster/similarity.h"
 #include "common/logging.h"
 #include "common/stopwatch.h"
-#include "metrics/coverage.h"
+#include "match/candidate_index.h"
+#include "match/vf2.h"
 #include "metrics/diversity.h"
 
 namespace vqi {
@@ -32,6 +34,62 @@ void RebuildCsg(CatapultState& state, const GraphDatabase& db, size_t c) {
     if (db.Contains(id)) members.push_back(&db.Get(id));
   }
   state.csgs[c] = ClusterSummaryGraph::Build(members);
+}
+
+// Brings the records in line with `db` and the current patterns: drops the
+// records of ids that left, recounts and re-matches every graph whose
+// content version moved, and re-matches every graph when the patterns were
+// edited since the bits were computed. Returns the number recounted.
+size_t RefreshRecords(CatapultState& state, const GraphDatabase& db) {
+  for (auto it = state.records.begin(); it != state.records.end();) {
+    it = db.Contains(it->first) ? std::next(it) : state.records.erase(it);
+  }
+  const bool rematch_all = !std::equal(
+      state.patterns.begin(), state.patterns.end(),
+      state.recorded_patterns.begin(), state.recorded_patterns.end(),
+      [](const Graph& a, const Graph& b) { return a.IdenticalTo(b); });
+  std::vector<PatternPlan> plans;
+  plans.reserve(state.patterns.size());
+  for (const Graph& p : state.patterns) plans.emplace_back(p, kNoTrussShells);
+  size_t recounted = 0;
+  for (const Graph& g : db.graphs()) {
+    GraphRecord& record = state.records[g.id()];
+    const uint64_t version = db.ContentVersion(g.id());
+    if (record.version != version) {
+      record.version = version;
+      record.graphlets = CountGraphlets(g);
+      ++recounted;
+    } else if (!rematch_all) {
+      continue;
+    }
+    const MatchIndex index(g, kNoTrussShells);
+    record.covered = Bitset(plans.size());
+    for (size_t j = 0; j < plans.size(); ++j) {
+      if (SubgraphMatcher(plans[j], index).Exists()) record.covered.Set(j);
+    }
+  }
+  if (rematch_all) state.recorded_patterns = state.patterns;
+  return recounted;
+}
+
+// The current patterns as selection candidates, their coverage over
+// db.graphs() order read from the records.
+std::vector<ScoredCandidate> RecordedCandidates(const CatapultState& state,
+                                                const GraphDatabase& db) {
+  std::vector<ScoredCandidate> current(state.patterns.size());
+  for (size_t j = 0; j < current.size(); ++j) {
+    current[j].pattern = state.patterns[j];
+    current[j].coverage = Bitset(db.size());
+    current[j].feature = PatternStructureFeature(state.patterns[j]);
+    current[j].load = CognitiveLoad(state.patterns[j], state.config.load_model);
+  }
+  for (size_t i = 0; i < db.size(); ++i) {
+    const Bitset& covered = state.records.at(db.graphs()[i].id()).covered;
+    for (size_t j = 0; j < current.size(); ++j) {
+      if (covered.Test(j)) current[j].coverage.Set(i);
+    }
+  }
+  return current;
 }
 
 }  // namespace
@@ -92,18 +150,20 @@ StatusOr<MaintenanceReport> ApplyBatchAndMaintain(MidasState& state,
   cat.feature_basis = MaintainClosedTrees(std::move(cat.feature_basis), db,
                                           applied, cat.config.tree_config);
 
-  // --- 3. Drift classification. --------------------------------------------
-  GraphletDistribution gfd_after = GraphletsOfDatabase(db);
+  // --- 3. Per-graph records. ----------------------------------------------
+  report.graphs_rescanned = RefreshRecords(cat, db);
+
+  // --- 4. Drift classification. --------------------------------------------
+  GraphletCounts total;
+  for (const auto& [id, record] : cat.records) total += record.graphlets;
+  GraphletDistribution gfd_after = NormalizeGraphlets(total);
   report.drift = ClassifyDrift(cat.gfd, gfd_after, config.drift_threshold);
   cat.gfd = gfd_after;
 
-  // --- 4. CSG refresh (both paths) and, on major drift, pattern swaps. -----
-  for (size_t c : touched) RebuildCsg(cat, db, c);
-
+  // --- 5. On major drift, pattern swaps. -----------------------------------
   // Score the existing patterns against the updated database either way, so
   // the report shows quality before/after.
-  std::vector<ScoredCandidate> current =
-      ScoreCandidates(db, cat.patterns, cat.config.load_model);
+  std::vector<ScoredCandidate> current = RecordedCandidates(cat, db);
   {
     PatternSetEvaluator eval(db.size(), cat.config.weights);
     for (const auto& c : current) eval.Add(c);
@@ -114,10 +174,14 @@ StatusOr<MaintenanceReport> ApplyBatchAndMaintain(MidasState& state,
   report.coverage_after = report.coverage_before;
 
   if (report.drift.type == ModificationType::kMajor && !current.empty()) {
-    // Candidates from the touched clusters' summary graphs.
+    // Candidates from the touched clusters' summary graphs, rebuilt from
+    // their current members.
     Rng rng(cat.config.seed ^ 0x0001DA5ull);
     std::vector<ClusterSummaryGraph> touched_csgs;
-    for (size_t c : touched) touched_csgs.push_back(cat.csgs[c]);
+    for (size_t c : touched) {
+      RebuildCsg(cat, db, c);
+      touched_csgs.push_back(cat.csgs[c]);
+    }
     CandidateGenConfig gen;
     gen.min_edges = cat.config.min_pattern_edges;
     gen.max_edges = cat.config.max_pattern_edges;
@@ -133,14 +197,14 @@ StatusOr<MaintenanceReport> ApplyBatchAndMaintain(MidasState& state,
     report.swap = MultiScanSwap(current, candidates, db.size(), swap);
     if (report.swap.swaps_applied > 0) {
       report.patterns_updated = true;
-      cat.patterns.clear();
-      for (const ScoredCandidate& c : current) cat.patterns.push_back(c.pattern);
+      RecordSelection(cat, db, current);
     }
     PatternSetEvaluator eval(db.size(), cat.config.weights);
     for (const auto& c : current) eval.Add(c);
     report.score_after = eval.CurrentScore();
     report.coverage_after = eval.coverage_fraction();
   }
+  report.pattern_coverages = RecordedCoverages(cat);
 
   report.seconds = watch.ElapsedSeconds();
   return report;

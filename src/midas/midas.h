@@ -51,16 +51,28 @@ struct MaintenanceReport {
   /// Database coverage fraction before/after.
   double coverage_before = 0.0;
   double coverage_after = 0.0;
+  /// Coverage fraction of each maintained pattern on the updated database,
+  /// in the order of the state's patterns after the batch.
+  std::vector<double> pattern_coverages;
+  /// Graphs whose graphlets and pattern coverage were recomputed: the ones
+  /// whose content version moved since the build or the last batch.
+  size_t graphs_rescanned = 0;
 };
 
 /// Applies `update` to `db` (insertions get fresh ids unless pre-set) and
 /// maintains the state:
 ///  1. assign added graphs to nearest clusters / drop deleted ones,
 ///  2. maintain the frequent-closed-tree feature basis,
-///  3. classify the drift of the graphlet frequency distribution,
-///  4. minor: refresh touched CSGs only;
-///     major: regenerate candidates from touched CSGs and run the
-///     multi-scan swap (monotone in both coverage and combined score).
+///  3. bring the per-graph records up to date: drop those of ids that left,
+///     recount graphlets and re-match the patterns on every graph whose
+///     content version moved (the batch's additions plus any graph edited
+///     outside MIDAS), re-match every graph if the patterns were edited,
+///  4. classify the drift of the graphlet frequency distribution summed
+///     from the records,
+///  5. minor: nothing more (CSGs are not rebuilt);
+///     major: rebuild the touched clusters' CSGs, regenerate candidates
+///     from them and run the multi-scan swap (monotone in both coverage and
+///     combined score), then rewrite the records' bits for the new set.
 StatusOr<MaintenanceReport> ApplyBatchAndMaintain(MidasState& state,
                                                   GraphDatabase& db,
                                                   BatchUpdate update,

@@ -133,7 +133,9 @@ void EnumerateSizeK(const Graph& g, size_t k, GraphletCounts& out) {
   }
 }
 
-GraphletDistribution Normalize(const GraphletCounts& counts) {
+}  // namespace
+
+GraphletDistribution NormalizeGraphlets(const GraphletCounts& counts) {
   GraphletDistribution dist;
   uint64_t total = counts.total();
   if (total == 0) return dist;
@@ -144,8 +146,6 @@ GraphletDistribution Normalize(const GraphletCounts& counts) {
   return dist;
 }
 
-}  // namespace
-
 GraphletCounts CountGraphlets(const Graph& g) {
   GraphletCounts out;
   EnumerateSizeK(g, 3, out);
@@ -154,16 +154,13 @@ GraphletCounts CountGraphlets(const Graph& g) {
 }
 
 GraphletDistribution GraphletsOf(const Graph& g) {
-  return Normalize(CountGraphlets(g));
+  return NormalizeGraphlets(CountGraphlets(g));
 }
 
 GraphletDistribution GraphletsOfDatabase(const GraphDatabase& db) {
   GraphletCounts sum;
-  for (const Graph& g : db.graphs()) {
-    GraphletCounts c = CountGraphlets(g);
-    for (int i = 0; i < kNumGraphletTypes; ++i) sum.counts[i] += c.counts[i];
-  }
-  return Normalize(sum);
+  for (const Graph& g : db.graphs()) sum += CountGraphlets(g);
+  return NormalizeGraphlets(sum);
 }
 
 }  // namespace vqi

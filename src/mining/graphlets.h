@@ -37,6 +37,11 @@ struct GraphletCounts {
     for (uint64_t c : counts) sum += c;
     return sum;
   }
+
+  GraphletCounts& operator+=(const GraphletCounts& other) {
+    for (int i = 0; i < kNumGraphletTypes; ++i) counts[i] += other.counts[i];
+    return *this;
+  }
 };
 
 /// Normalized graphlet frequency distribution (sums to 1 unless the graph
@@ -58,6 +63,9 @@ GraphletCounts CountGraphlets(const Graph& g);
 
 /// Distribution of one graph.
 GraphletDistribution GraphletsOf(const Graph& g);
+
+/// Distribution of counts summed over any set of graphs.
+GraphletDistribution NormalizeGraphlets(const GraphletCounts& counts);
 
 /// Aggregate distribution of a database: counts are summed across graphs and
 /// then normalized, so every embedded subgraph has equal influence.

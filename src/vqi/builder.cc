@@ -27,9 +27,9 @@ StatusOr<VqiBuildResult> BuildVqiForDatabase(const GraphDatabase& db,
   AttributePanel attributes =
       AttributePanel::FromStats(db.ComputeLabelStats(), dict);
   PatternPanel patterns = PanelWithBasics(attributes);
-  DbCoverageIndex index(db);
-  for (const Graph& p : selection->patterns()) {
-    patterns.AddCanned(p, index.Fraction(p));
+  std::vector<double> coverages = RecordedCoverages(selection->state);
+  for (size_t j = 0; j < coverages.size(); ++j) {
+    patterns.AddCanned(selection->patterns()[j], coverages[j]);
   }
   result.vqi = VisualQueryInterface(DataSourceKind::kGraphCollection,
                                     std::move(attributes), std::move(patterns));

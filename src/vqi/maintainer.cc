@@ -1,7 +1,5 @@
 #include "vqi/maintainer.h"
 
-#include "metrics/coverage.h"
-
 namespace vqi {
 
 VqiMaintainer::VqiMaintainer(CatapultState state, MidasConfig config)
@@ -22,12 +20,8 @@ StatusOr<MaintenanceReport> VqiMaintainer::ApplyBatch(
   vqi.attribute_panel() = AttributePanel::FromStats(db.ComputeLabelStats(), dict);
 
   // Refresh the canned patterns (keep basic ones).
-  const std::vector<Graph>& patterns = state_.patterns();
-  std::vector<double> coverages;
-  coverages.reserve(patterns.size());
-  DbCoverageIndex index(db);
-  for (const Graph& p : patterns) coverages.push_back(index.Fraction(p));
-  vqi.pattern_panel().ReplaceCanned(patterns, coverages);
+  vqi.pattern_panel().ReplaceCanned(state_.patterns(),
+                                    report->pattern_coverages);
 
   // The database just changed under anything serving from it; give caches a
   // chance to drop results computed against the pre-batch state.

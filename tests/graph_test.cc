@@ -226,6 +226,27 @@ TEST(DatabaseTest, ExplicitIdsPreserved) {
   EXPECT_GT(next, 100);
 }
 
+// Each copy edits id x (remove + re-add) to different content: the versions
+// must differ, or a cache keyed by (id, version) would serve one copy's data
+// for the other.
+TEST(GraphDatabaseTest, CopiesEditingTheSameIdGetDistinctVersions) {
+  GraphDatabase a;
+  const GraphId x = a.Add(builder::Path(3));
+  GraphDatabase b = a;
+  EXPECT_EQ(a.ContentVersion(x), b.ContentVersion(x));
+  ASSERT_TRUE(a.Remove(x));
+  ASSERT_TRUE(b.Remove(x));
+  Graph triangle = builder::Triangle();
+  triangle.set_id(x);
+  a.Add(std::move(triangle));
+  Graph path = builder::Path(5);
+  path.set_id(x);
+  b.Add(std::move(path));
+  EXPECT_NE(a.ContentVersion(x), b.ContentVersion(x));
+  EXPECT_NE(a.ContentVersion(x), 0u);
+  EXPECT_NE(b.ContentVersion(x), 0u);
+}
+
 TEST(DatabaseTest, LabelStats) {
   GraphDatabase db;
   db.Add(builder::SingleEdge(1, 2, 9));

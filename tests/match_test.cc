@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -457,6 +458,35 @@ size_t CheckPlanOrders(const Graph& pattern) {
     }
   }
   return unanchored;
+}
+
+// Two copies of a database each replace id x with different content; a
+// cache filled from one copy must rebuild for the other, not serve the
+// first copy's index.
+TEST(MatchIndexCacheTest, CacheFilledFromOneCopyRebuildsForTheOther) {
+  GraphDatabase a;
+  const GraphId x = a.Add(builder::Path(3));
+  GraphDatabase b = a;
+  ASSERT_TRUE(a.Remove(x));
+  ASSERT_TRUE(b.Remove(x));
+  Graph triangle = builder::Triangle();
+  triangle.set_id(x);
+  a.Add(std::move(triangle));
+  Graph path = builder::Path(5);
+  path.set_id(x);
+  b.Add(std::move(path));
+
+  MatchIndexCache cache(kNoTrussShells);
+  std::shared_ptr<const MatchIndex> from_a = cache.Get(a, x);
+  std::shared_ptr<const MatchIndex> from_b = cache.Get(b, x);
+  ASSERT_NE(from_a, nullptr);
+  ASSERT_NE(from_b, nullptr);
+  EXPECT_EQ(cache.builds(), 2u);
+  EXPECT_EQ(from_a->csr.NumVertices(), 3u);
+  EXPECT_EQ(from_b->csr.NumVertices(), 5u);
+  PatternPlan triangle_plan(builder::Triangle(), kNoTrussShells);
+  EXPECT_TRUE(SubgraphMatcher(triangle_plan, *from_a).Exists());
+  EXPECT_FALSE(SubgraphMatcher(triangle_plan, *from_b).Exists());
 }
 
 TEST(PatternPlanTest, OrdersFromEverySeedAnchorAtEarlierNeighbors) {

@@ -1,13 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/rng.h"
 #include "common/stopwatch.h"
 #include "graph/generators.h"
+#include "match/pattern_utils.h"
 #include "metrics/coverage.h"
 #include "midas/drift.h"
 #include "midas/midas.h"
 #include "midas/swap_selector.h"
 #include "metrics/diversity.h"
+#include "vqi/builder.h"
+#include "vqi/maintainer.h"
 
 namespace vqi {
 namespace {
@@ -201,6 +207,174 @@ TEST_F(MidasTest, UninitializedStateRejected) {
   auto report = ApplyBatchAndMaintain(state, db, BatchUpdate{}, Config());
   EXPECT_FALSE(report.ok());
   EXPECT_EQ(report.status().code(), StatusCode::kFailedPrecondition);
+}
+
+// Batch `b` of the differential sequence. Every fourth batch swaps 15% of
+// the collection for dense random graphs, which drifts the graphlet
+// distribution; the others swap 5% for molecules. Batch 3 also deletes one
+// id and re-adds it, in the same batch, with a different graph.
+BatchUpdate SequenceBatch(const GraphDatabase& db, size_t b, Rng& rng) {
+  const bool drifting = b % 4 == 1;
+  const size_t count = db.size() * (drifting ? 15 : 5) / 100;
+  BatchUpdate update;
+  std::vector<GraphId> ids = db.Ids();
+  rng.Shuffle(ids);
+  ids.resize(count);
+  update.deletions = ids;
+  gen::LabelConfig labels;
+  labels.num_vertex_labels = 4;
+  for (size_t i = 0; i < count; ++i) {
+    update.additions.push_back(drifting
+                                   ? gen::ErdosRenyi(12, 0.4, labels, rng)
+                                   : gen::Molecule(gen::MoleculeConfig{}, rng));
+  }
+  if (b == 3) {
+    Graph replacement = gen::ErdosRenyi(10, 0.3, labels, rng);
+    replacement.set_id(ids.front());
+    update.additions.push_back(std::move(replacement));
+  }
+  return update;
+}
+
+// Out-of-band edit between batches: id `id` gets different content.
+void EditOutOfBand(GraphDatabase& db, GraphId id, Rng& rng) {
+  ASSERT_TRUE(db.Remove(id));
+  gen::LabelConfig labels;
+  labels.num_vertex_labels = 3;
+  Graph replacement = gen::ErdosRenyi(9, 0.45, labels, rng);
+  replacement.set_id(id);
+  db.Add(std::move(replacement));
+}
+
+// Asserts that a batch's report equals what library calls that never read
+// the MIDAS records compute from scratch: `gfd_before` is the database's
+// graphlet distribution after the previous batch, `patterns_before` the
+// pattern set the batch started from.
+void ExpectMatchesFromScratch(const GraphDatabase& db,
+                              const GraphletDistribution& gfd_before,
+                              const std::vector<Graph>& patterns_before,
+                              const std::vector<Graph>& patterns_after,
+                              const CatapultConfig& config,
+                              const MaintenanceReport& report) {
+  EXPECT_EQ(report.drift.distance,
+            gfd_before.DistanceTo(GraphletsOfDatabase(db)));
+  PatternSetEvaluator before(db.size(), config.weights);
+  for (const ScoredCandidate& c :
+       ScoreCandidates(db, patterns_before, config.load_model)) {
+    before.Add(c);
+  }
+  EXPECT_EQ(report.score_before, before.CurrentScore());
+  EXPECT_EQ(report.coverage_before, before.coverage_fraction());
+  PatternSetEvaluator after(db.size(), config.weights);
+  for (const ScoredCandidate& c :
+       ScoreCandidates(db, patterns_after, config.load_model)) {
+    after.Add(c);
+  }
+  EXPECT_EQ(report.score_after, after.CurrentScore());
+  EXPECT_EQ(report.coverage_after, after.coverage_fraction());
+  ASSERT_EQ(report.pattern_coverages.size(), patterns_after.size());
+  for (size_t j = 0; j < patterns_after.size(); ++j) {
+    EXPECT_EQ(report.pattern_coverages[j], DbCoverage(db, patterns_after[j]))
+        << "pattern " << j;
+  }
+}
+
+TEST_F(MidasTest, IncrementalBatchesMatchFromScratchRecomputation) {
+  GraphDatabase db = gen::MoleculeDatabase(60, gen::MoleculeConfig{}, 31);
+  MidasConfig config = Config();
+  auto state = InitializeMidas(db, config);
+  ASSERT_TRUE(state.ok());
+  Rng rng(32);
+  GraphletDistribution gfd = GraphletsOfDatabase(db);
+  size_t minor = 0, major = 0, swapped = 0;
+  for (size_t b = 0; b < 14; ++b) {
+    SCOPED_TRACE("batch " + std::to_string(b));
+    if (b == 6) EditOutOfBand(db, db.Ids()[7], rng);
+    if (b == 8) {
+      // A direct edit of the pattern set: one pattern replaced, one dropped.
+      std::vector<Graph>& patterns = state->catapult.patterns;
+      ASSERT_GE(patterns.size(), 2u);
+      auto sample = RandomConnectedSubgraph(db.graphs()[3], 4, rng);
+      ASSERT_TRUE(sample.has_value());
+      patterns.front() = std::move(*sample);
+      patterns.pop_back();
+    }
+    const std::vector<Graph> patterns_before = state->patterns();
+    auto report = ApplyBatchAndMaintain(*state, db, SequenceBatch(db, b, rng),
+                                        config);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    ExpectMatchesFromScratch(db, gfd, patterns_before, state->patterns(),
+                             state->catapult.config, *report);
+    gfd = GraphletsOfDatabase(db);
+    ++(report->drift.type == ModificationType::kMajor ? major : minor);
+    swapped += report->patterns_updated;
+  }
+  EXPECT_GT(minor, 0u);
+  EXPECT_GT(major, 0u);
+  EXPECT_GT(swapped, 0u);
+}
+
+TEST_F(MidasTest, MaintainedPanelCoveragesMatchFromScratch) {
+  GraphDatabase db = gen::MoleculeDatabase(60, gen::MoleculeConfig{}, 33);
+  MidasConfig config = Config();
+  config.base.use_closed_trees = true;
+  auto built = BuildVqiForDatabase(db, config.base);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  VisualQueryInterface vqi = std::move(built->vqi);
+  VqiMaintainer maintainer(std::move(built->catapult_state), config);
+  Rng rng(34);
+  GraphletDistribution gfd = GraphletsOfDatabase(db);
+  for (size_t b = 0; b < 12; ++b) {
+    SCOPED_TRACE("batch " + std::to_string(b));
+    if (b == 6) EditOutOfBand(db, db.Ids()[11], rng);
+    const std::vector<Graph> patterns_before = maintainer.state().patterns();
+    auto report = maintainer.ApplyBatch(vqi, db, SequenceBatch(db, b, rng));
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    const std::vector<Graph>& patterns = maintainer.state().patterns();
+    ExpectMatchesFromScratch(db, gfd, patterns_before, patterns,
+                             maintainer.state().catapult.config, *report);
+    gfd = GraphletsOfDatabase(db);
+    std::vector<double> panel;
+    for (const PatternEntry& e : vqi.pattern_panel().entries()) {
+      if (!e.is_basic) panel.push_back(e.coverage);
+    }
+    ASSERT_EQ(panel.size(), patterns.size());
+    for (size_t j = 0; j < patterns.size(); ++j) {
+      EXPECT_EQ(panel[j], DbCoverage(db, patterns[j])) << "pattern " << j;
+    }
+  }
+}
+
+TEST_F(MidasTest, RescansOnlyTheGraphsWhoseContentChanged) {
+  GraphDatabase db = gen::MoleculeDatabase(50, gen::MoleculeConfig{}, 35);
+  MidasConfig config = Config();
+  auto state = InitializeMidas(db, config);
+  ASSERT_TRUE(state.ok());
+  Rng rng(36);
+
+  BatchUpdate update;
+  for (int i = 0; i < 6; ++i) {
+    update.additions.push_back(gen::Molecule(gen::MoleculeConfig{}, rng));
+  }
+  update.deletions = {3, 4, 5};
+  auto report = ApplyBatchAndMaintain(*state, db, std::move(update), config);
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report->graphs_rescanned, 6u);
+
+  report = ApplyBatchAndMaintain(*state, db, BatchUpdate{}, config);
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report->graphs_rescanned, 0u);
+
+  EditOutOfBand(db, 10, rng);
+  EditOutOfBand(db, 11, rng);
+  BatchUpdate next;
+  for (int i = 0; i < 4; ++i) {
+    next.additions.push_back(gen::Molecule(gen::MoleculeConfig{}, rng));
+  }
+  next.deletions = {20};
+  report = ApplyBatchAndMaintain(*state, db, std::move(next), config);
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report->graphs_rescanned, 4u + 2u);
 }
 
 TEST_F(MidasTest, MaintenanceFasterThanRerunOnMinorBatch) {

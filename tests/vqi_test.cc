@@ -2,6 +2,7 @@
 
 #include "graph/generators.h"
 #include "graph/graph_builder.h"
+#include "metrics/coverage.h"
 #include "vqi/builder.h"
 #include "vqi/interface.h"
 #include "vqi/maintainer.h"
@@ -191,6 +192,24 @@ TEST(VqiBuilderTest, DatabaseVqiComplete) {
     }
   }
   EXPECT_FALSE(built->catapult_state.cluster_members.empty());
+}
+
+TEST(VqiBuilderTest, CannedCoveragesEqualDbCoverage) {
+  GraphDatabase db = gen::MoleculeDatabase(60, gen::MoleculeConfig{}, 47);
+  CatapultConfig config;
+  config.budget = 5;
+  config.num_clusters = 4;
+  config.tree_config.min_support = 5;
+  config.walks_per_csg = 16;
+  auto built = BuildVqiForDatabase(db, config);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  size_t canned = 0;
+  for (const PatternEntry& e : built->vqi.pattern_panel().entries()) {
+    if (e.is_basic) continue;
+    EXPECT_EQ(e.coverage, DbCoverage(db, e.graph));
+    ++canned;
+  }
+  EXPECT_EQ(canned, built->catapult_state.patterns.size());
 }
 
 TEST(VqiBuilderTest, NetworkVqiComplete) {
