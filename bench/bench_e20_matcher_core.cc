@@ -1,9 +1,11 @@
 // E20 — the matcher core (CSR adjacency + candidate index) on labeled BA /
-// WS targets. The step count of a search is deterministic, so this bench
-// pins it: every row's median over its patterns must equal the committed
-// EXPERIMENTS.md E20 column, and the binary exits non-zero otherwise (ctest
-// runs it under the `bench_smoke` label). Wall-time medians are printed for
-// the record only. Embedding correctness is certified separately by
+// WS targets, plus one collection scan in the shape of CATAPULT and MIDAS
+// coverage scoring. The step count of a search is deterministic, so this
+// bench pins it: every row's median over its patterns, and the scan's total
+// steps and count of searched pairs, must equal the committed
+// EXPERIMENTS.md E20 figures, and the binary exits non-zero otherwise (ctest
+// runs it under the `bench_smoke` label). Wall times are printed for the
+// record only. Embedding correctness is certified separately by
 // tests/differential_test.cc against an independent naive oracle.
 
 #include <benchmark/benchmark.h>
@@ -20,6 +22,7 @@
 #include "common/stopwatch.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
+#include "graph/graph_database.h"
 #include "match/candidate_index.h"
 #include "match/pattern_utils.h"
 #include "match/vf2.h"
@@ -34,6 +37,14 @@ constexpr uint64_t kStepCap = 20000000;
 // Row step medians committed in EXPERIMENTS.md §E20, in MakeConfigs order.
 constexpr uint64_t kPinnedSteps[] = {94,  226, 1431, 219, 6235,  320,
                                      415, 158, 748,  184, 73132, 80298};
+// The collection scan: kScanPatterns patterns of 4-10 edges drawn from a
+// kScanMolecules-molecule collection, each tested with Exists against every
+// molecule. Pinned: its total steps and the pairs it searched (steps > 0);
+// the label census rules out most of the rest at 0 steps.
+constexpr size_t kScanMolecules = 500;
+constexpr size_t kScanPatterns = 200;
+constexpr uint64_t kPinnedScanSteps = 720403;
+constexpr uint64_t kPinnedScanSearched = 17969;
 
 struct Config {
   std::string family;
@@ -136,6 +147,55 @@ double Median(std::vector<double> values) {
   return values[values.size() / 2];
 }
 
+// Runs the collection scan and prints its row; returns 1 when a pinned
+// figure moved, else 0.
+size_t RunCollectionScan() {
+  GraphDatabase molecules = gen::MoleculeDatabase(kScanMolecules, {}, kSeed);
+  const std::vector<Graph>& graphs = molecules.graphs();
+  // One shared index per molecule, truss-free like DbCoverageIndex's.
+  std::vector<MatchIndex> indexes;
+  indexes.reserve(graphs.size());
+  for (const Graph& g : graphs) indexes.emplace_back(g, kNoTrussShells);
+  Rng rng(kSeed ^ 0x5CA4);
+  uint64_t steps = 0;
+  uint64_t searched = 0;
+  uint64_t embedded = 0;
+  size_t patterns = 0;
+  Stopwatch timer;
+  while (patterns < kScanPatterns) {
+    std::optional<Graph> pattern = RandomConnectedSubgraph(
+        graphs[rng.UniformInt(graphs.size())], 4 + rng.UniformInt(7), rng);
+    if (!pattern.has_value()) continue;
+    ++patterns;
+    const PatternPlan plan(*pattern, kNoTrussShells);
+    for (const MatchIndex& index : indexes) {
+      SubgraphMatcher matcher(plan, index);
+      embedded += matcher.Exists() ? 1 : 0;
+      steps += matcher.steps();
+      searched += matcher.steps() > 0 ? 1 : 0;
+    }
+  }
+  const double seconds = timer.ElapsedSeconds();
+  const bool searched_moved = searched != kPinnedScanSearched;
+  const bool steps_moved = steps != kPinnedScanSteps;
+  bench::Table table(
+      "E20 collection scan: Exists of every pattern against every molecule "
+      "(total steps and searched pairs pinned to EXPERIMENTS.md)",
+      {"molecules", "patterns", "pairs", "searched", "pinned", "embedded",
+       "steps", "pinned", "ms"});
+  table.AddRow({std::to_string(graphs.size()), std::to_string(patterns),
+                std::to_string(patterns * graphs.size()),
+                std::to_string(searched),
+                std::to_string(kPinnedScanSearched) +
+                    (searched_moved ? " MOVED" : ""),
+                std::to_string(embedded), std::to_string(steps),
+                std::to_string(kPinnedScanSteps) +
+                    (steps_moved ? " MOVED" : ""),
+                bench::Fmt(seconds * 1e3, 1)});
+  table.Print();
+  return searched_moved || steps_moved ? 1 : 0;
+}
+
 // Prints the table; returns the number of rows whose step median moved.
 size_t RunStepPin() {
   std::vector<Config> configs = MakeConfigs();
@@ -172,10 +232,12 @@ size_t RunStepPin() {
                   bench::Fmt(Median(ms), 2)});
   }
   table.Print();
-  std::printf("%zu runs excluded at the %llu-step cap\n", capped_runs,
+  std::printf("%zu runs excluded at the %llu-step cap\n\n", capped_runs,
               static_cast<unsigned long long>(kStepCap));
+  moved_rows += RunCollectionScan();
   std::printf("step pin: %s (%zu of %zu rows moved)\n\n",
-              moved_rows == 0 ? "PASS" : "FAIL", moved_rows, configs.size());
+              moved_rows == 0 ? "PASS" : "FAIL", moved_rows,
+              configs.size() + 1);
   return moved_rows;
 }
 

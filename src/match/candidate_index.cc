@@ -1,7 +1,9 @@
 #include "match/candidate_index.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <numeric>
+#include <utility>
 
 #include "truss/truss.h"
 
@@ -96,7 +98,48 @@ uint64_t BucketKey(Label label, uint32_t degree) {
   return (static_cast<uint64_t>(label) << 32) | degree;
 }
 
+// Census bucket of the edge type {a, b} with edge label `e`: a multiplicative
+// hash of the sorted endpoint labels and the edge label, top bits kept. Any
+// function of the type is sound; mixing spreads small alphabets' types.
+size_t EdgeTypeBucket(Label a, Label b, Label e) {
+  static_assert(LabelCensus::kEdgeBuckets == 64, "keep the top 6 bits");
+  if (a > b) std::swap(a, b);
+  uint64_t h = (uint64_t{a} << 32 | b) * 0x9E3779B97F4A7C15ull;
+  h = (h ^ (h >> 29) ^ e) * 0xBF58476D1CE4E5B9ull;
+  return static_cast<size_t>(h >> 58);
+}
+
+// Saturating count: past 255 a bucket stays at 255, which never exceeds the
+// true count, so the pattern-vs-target comparison stays a necessary test.
+void Bump(uint8_t* count) {
+  if (*count != UINT8_MAX) ++*count;
+}
+
 }  // namespace
+
+LabelCensus::LabelCensus(const CsrGraph& csr) {
+  for (VertexId v = 0; v < csr.NumVertices(); ++v) {
+    const Label label = csr.VertexLabel(v);
+    Bump(&vertices[label % kVertexBuckets]);
+    for (const Neighbor* nb = csr.NeighborsBegin(v); nb != csr.NeighborsEnd(v);
+         ++nb) {
+      if (nb->vertex < v) continue;  // each undirected edge once
+      Bump(&edges[EdgeTypeBucket(label, csr.VertexLabel(nb->vertex),
+                                 nb->edge_label)]);
+    }
+  }
+}
+
+bool LabelCensus::FitsIn(const LabelCensus& target, bool edge_labels) const {
+  for (size_t b = 0; b < kVertexBuckets; ++b) {
+    if (vertices[b] > target.vertices[b]) return false;
+  }
+  if (!edge_labels) return true;
+  for (size_t b = 0; b < kEdgeBuckets; ++b) {
+    if (edges[b] > target.edges[b]) return false;
+  }
+  return true;
+}
 
 CandidateIndex CandidateIndex::Build(const Graph& g, const CsrGraph& csr,
                                      const CandidateIndexOptions& options) {
@@ -137,7 +180,9 @@ CandidateIndex::Range CandidateIndex::CandidatesForLabel(
 }
 
 MatchIndex::MatchIndex(const Graph& g, const CandidateIndexOptions& options)
-    : csr(g), candidates(CandidateIndex::Build(g, csr, options)) {}
+    : csr(g),
+      candidates(CandidateIndex::Build(g, csr, options)),
+      census(csr) {}
 
 std::shared_ptr<const MatchIndex> MatchIndex::Build(
     const Graph& g, const CandidateIndexOptions& options) {
@@ -146,7 +191,9 @@ std::shared_ptr<const MatchIndex> MatchIndex::Build(
 
 PatternPlan::PatternPlan(const Graph& pattern,
                          const CandidateIndexOptions& options)
-    : csr(pattern), shells(VertexShells(pattern, csr, options)) {
+    : csr(pattern),
+      census(csr),
+      shells(VertexShells(pattern, csr, options)) {
   ComputeSignatures(csr, &signatures, &repeat_signatures);
   const size_t n = csr.NumVertices();
   orders.resize(n * n);

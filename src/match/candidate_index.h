@@ -1,6 +1,7 @@
 #ifndef VQLIB_MATCH_CANDIDATE_INDEX_H_
 #define VQLIB_MATCH_CANDIDATE_INDEX_H_
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -96,26 +97,52 @@ class CandidateIndex {
   std::vector<int> shells_;  // empty when truss shells are disabled
 };
 
-/// The target side of a match: a CSR snapshot plus its candidate index,
-/// built together and shared immutably across threads and patterns.
+/// Fixed-size label census of one graph: saturating 8-bit counts of its
+/// vertex labels and of its edge types (the unordered pair of endpoint labels
+/// plus the edge label), each folded into a fixed number of buckets. An
+/// embedding maps pattern vertices injectively onto equal-label target
+/// vertices and pattern edges onto equal-type target edges, so under exact
+/// label matching no pattern bucket can exceed the target's. Folding only
+/// merges classes and saturation only caps counts, so both can weaken the
+/// test but never make it reject a pair that has an embedding.
+struct LabelCensus {
+  static constexpr size_t kVertexBuckets = 32;
+  static constexpr size_t kEdgeBuckets = 64;
+
+  /// Counts `csr`'s vertex labels and edge types; shared by the target index
+  /// and the pattern plan so both sides fold alike.
+  explicit LabelCensus(const CsrGraph& csr);
+
+  /// True when every bucket of this (pattern) census is <= the one of
+  /// `target`; edge-type buckets count only when `edge_labels` is set.
+  bool FitsIn(const LabelCensus& target, bool edge_labels) const;
+
+  std::array<uint8_t, kVertexBuckets> vertices{};
+  std::array<uint8_t, kEdgeBuckets> edges{};
+};
+
+/// The target side of a match: a CSR snapshot plus its candidate index and
+/// label census, built together and shared immutably across threads and
+/// patterns.
 struct MatchIndex {
   explicit MatchIndex(const Graph& g,
                       const CandidateIndexOptions& options = {});
 
   CsrGraph csr;
   CandidateIndex candidates;
+  LabelCensus census;
 
   static std::shared_ptr<const MatchIndex> Build(
       const Graph& g, const CandidateIndexOptions& options = {});
 };
 
 /// The pattern side of a match, compiled once per pattern and shared by
-/// every search of it: the pattern's CSR, its vertices' neighborhood label
-/// signatures (the same masks CandidateIndex keeps per target vertex), the
-/// match order from every seed vertex and, when compiled with truss shells,
-/// its vertex shells. Compile a plan with the options of the indexes it will
-/// run against; a plan and an index without shells on both sides simply skip
-/// the shell filter.
+/// every search of it: the pattern's CSR, its label census and its vertices'
+/// neighborhood label signatures (the same census and masks a MatchIndex
+/// keeps), the match order from every seed vertex and, when compiled with
+/// truss shells, its vertex shells. Compile a plan with the options of the
+/// indexes it will run against; a plan and an index without shells on both
+/// sides simply skip the shell filter.
 struct PatternPlan {
   explicit PatternPlan(const Graph& pattern,
                        const CandidateIndexOptions& options = {});
@@ -133,6 +160,7 @@ struct PatternPlan {
   }
 
   CsrGraph csr;
+  LabelCensus census;
   std::vector<uint64_t> signatures;
   std::vector<uint64_t> repeat_signatures;
   std::vector<int> shells;  // empty when compiled without truss shells

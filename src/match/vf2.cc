@@ -29,10 +29,15 @@ void SubgraphMatcher::Init() {
   // wildcards; degree and truss filters are structural and always sound.
   label_filters_ = options_.match_vertex_labels && !options_.dummy_is_wildcard;
   shell_filter_ = !plan_->shells.empty() && index_->candidates.has_truss();
+  // Under the same gate the label census extends the size test to every
+  // vertex label and, when edge labels are matched, every edge type.
   fits_ = pcsr_->NumVertices() <= tcsr_->NumVertices() &&
-         pcsr_->NumEdges() <= tcsr_->NumEdges();
-  // No run searches an empty or oversized pattern, so neither needs an order
-  // or scratch space.
+          pcsr_->NumEdges() <= tcsr_->NumEdges() &&
+          (!label_filters_ ||
+           plan_->census.FitsIn(index_->census, options_.match_edge_labels));
+  // A pair that does not fit is never searched, and an empty pattern's one
+  // (empty) embedding sits at the search root: neither needs an order or
+  // scratch space.
   if (pcsr_->NumVertices() == 0 || !fits_) return;
   mapping_.assign(pcsr_->NumVertices(), kUnmapped);
   used_.assign(tcsr_->NumVertices(), false);
@@ -193,7 +198,6 @@ bool SubgraphMatcher::StartRun() {
 }
 
 bool SubgraphMatcher::Exists() {
-  if (pcsr_->NumVertices() == 0) return true;
   if (!StartRun()) return false;
   uint64_t found = 0;
   Recurse(0, [](const Embedding&) { return false; }, &found);
@@ -202,7 +206,6 @@ bool SubgraphMatcher::Exists() {
 
 std::optional<Embedding> SubgraphMatcher::FindOne() {
   std::optional<Embedding> result;
-  if (pcsr_->NumVertices() == 0) return Embedding{};
   if (!StartRun()) return std::nullopt;
   uint64_t found = 0;
   Recurse(
@@ -221,7 +224,7 @@ uint64_t SubgraphMatcher::CountEmbeddings() {
 
 uint64_t SubgraphMatcher::Enumerate(
     const std::function<bool(const Embedding&)>& callback) {
-  if (pcsr_->NumVertices() == 0 || !StartRun()) return 0;
+  if (!StartRun()) return 0;
   uint64_t found = 0;
   Recurse(0, callback, &found);
   return found;

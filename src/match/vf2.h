@@ -36,12 +36,16 @@ struct MatchOptions {
 using Embedding = std::vector<VertexId>;
 
 /// VF2-style backtracking matcher for one (pattern, target) pair, run over a
-/// compiled PatternPlan and the target's MatchIndex. It seeds from the
-/// rarest-label pattern vertex and pre-filters every candidate by degree,
-/// neighborhood label signatures and truss shells before the full
-/// feasibility check. Candidates are visited in target adjacency order at
-/// anchored depths and in vertex-id order at anchorless ones, so the
-/// embedding sequence does not depend on which filters an index carries.
+/// compiled PatternPlan and the target's MatchIndex. Construction admits the
+/// pair first: a pattern with more vertices or edges than the target, or —
+/// when labels are matched exactly — a plan census bucket above the index's
+/// (docs/matching.md, "Label census"), has no embedding, so every run of it
+/// returns none at 0 steps and the matcher allocates no scratch. An admitted
+/// search seeds from the rarest-label pattern vertex and pre-filters every
+/// candidate by degree, neighborhood label signatures and truss shells before
+/// the full feasibility check. Candidates are visited in target adjacency
+/// order at anchored depths and in vertex-id order at anchorless ones, so
+/// the embedding sequence does not depend on which filters an index carries.
 ///
 /// The pattern must be connected for meaningful candidate propagation; a
 /// disconnected pattern is matched component-by-component implicitly by
@@ -73,7 +77,7 @@ class SubgraphMatcher {
 
   /// Counts embeddings up to options.max_embeddings (distinct mappings;
   /// automorphic images count separately, as in the coverage definitions of
-  /// the surveyed papers).
+  /// the surveyed papers). An empty pattern has one, the empty mapping.
   uint64_t CountEmbeddings();
 
   /// Invokes `callback` per embedding; return false from it to stop early.
@@ -94,7 +98,10 @@ class SubgraphMatcher {
   /// on a candidate vertex (the O(degree) consistency check). This is the
   /// unit max_steps budgets, exposed so callers (e.g. the query service's
   /// deadline slicing) can meter matcher work. Candidates rejected by the
-  /// index's O(1) admission filters never cost a step.
+  /// index's O(1) admission filters never cost a step, and a pair ruled out
+  /// at construction (oversized, or failing the label census) costs 0 steps
+  /// and never hits the limit. An empty pattern's one embedding is the
+  /// search root: 1 step.
   uint64_t steps() const { return steps_; }
 
  private:
@@ -119,7 +126,7 @@ class SubgraphMatcher {
   MatchOptions options_;
   bool label_filters_ = false;  // bucket seeding + signatures are sound
   bool shell_filter_ = false;   // plan and index both carry truss shells
-  bool fits_ = false;  // pattern has no more vertices and edges than target
+  bool fits_ = false;  // size and (gated) label census admit the pair
   const VertexId* order_ = nullptr;    // pattern vertices in match order
   const int* anchor_ = nullptr;        // order index of an earlier neighbor
   std::vector<VertexId> mapping_;      // pattern -> target (kUnmapped if none)

@@ -13,9 +13,15 @@
 //     budgeted at B delivers exactly the first k embeddings of the
 //     unbudgeted run, in order, and hit_step_limit() holds iff steps > B.
 //
+//  4. Census admission: a pair whose labels cannot fit (the engine's label
+//     census, under exact label matching) is answered with no embedding at
+//     0 steps, without hitting any budget.
+//
 // Pairs are drawn from the BA / WS / molecule generators at mixed label
 // alphabet sizes, with induced and edge-label-insensitive variants mixed in,
-// plus wildcard-dummy variants. Everything is seeded — failures reproduce
+// plus wildcard-dummy variants. Cross pairs match patterns of one graph
+// against another of a different alphabet, so many have no embedding and
+// the census rules them out. Everything is seeded — failures reproduce
 // deterministically.
 
 #include <gtest/gtest.h>
@@ -24,14 +30,18 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/bitset.h"
 #include "common/rng.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
+#include "graph/graph_database.h"
 #include "match/candidate_index.h"
 #include "match/pattern_utils.h"
 #include "match/vf2.h"
+#include "metrics/coverage.h"
 #include "naive_matcher.h"
 
 namespace vqi {
@@ -134,6 +144,10 @@ std::vector<TestPair> MakePairs() {
     }
   };
 
+  // BA and WS targets in generation order; consecutive ones differ in
+  // alphabet size, which the cross pairs below rely on.
+  std::vector<std::pair<std::string, Graph>> networks;
+
   // Barabási–Albert: heavy-tailed degrees, mixed label alphabets.
   for (size_t n : {40u, 90u, 150u}) {
     for (size_t m : {2u, 3u}) {
@@ -142,10 +156,11 @@ std::vector<TestPair> MakePairs() {
         labels.num_vertex_labels = num_labels;
         labels.num_edge_labels = num_labels >= 5 ? 3 : 1;
         Graph target = gen::BarabasiAlbert(n, m, labels, rng);
-        add_patterns(target,
-                     "ba/n" + std::to_string(n) + "m" + std::to_string(m) +
-                         "l" + std::to_string(num_labels),
-                     6, 2, 6);
+        std::string name = "ba/n" + std::to_string(n) + "m" +
+                           std::to_string(m) + "l" +
+                           std::to_string(num_labels);
+        add_patterns(target, name, 6, 2, 6);
+        networks.emplace_back(std::move(name), std::move(target));
       }
     }
   }
@@ -158,10 +173,11 @@ std::vector<TestPair> MakePairs() {
         labels.num_vertex_labels = num_labels;
         labels.num_edge_labels = 2;
         Graph target = gen::WattsStrogatz(n, k, 0.1, labels, rng);
-        add_patterns(target,
-                     "ws/n" + std::to_string(n) + "k" + std::to_string(k) +
-                         "l" + std::to_string(num_labels),
-                     6, 2, 6);
+        std::string name = "ws/n" + std::to_string(n) + "k" +
+                           std::to_string(k) + "l" +
+                           std::to_string(num_labels);
+        add_patterns(target, name, 6, 2, 6);
+        networks.emplace_back(std::move(name), std::move(target));
       }
     }
   }
@@ -185,13 +201,64 @@ std::vector<TestPair> MakePairs() {
       pairs.push_back(std::move(pair));
     }
   }
+
+  // Network cross pairs: a pattern of each target against the next target
+  // and one against the previous, whose alphabets differ, cycling through
+  // default, induced, edge-label-insensitive and wildcard-dummy semantics.
+  for (size_t i = 0; i < networks.size(); ++i) {
+    const auto& [source_name, source] = networks[i];
+    for (size_t draw = 0; draw < 2; ++draw) {
+      const size_t neighbor =
+          (i + (draw == 0 ? 1 : networks.size() - 1)) % networks.size();
+      const auto& [target_name, target] = networks[neighbor];
+      std::optional<Graph> pattern;
+      for (int attempt = 0; attempt < 5 && !pattern.has_value(); ++attempt) {
+        pattern = RandomConnectedSubgraph(source, 2 + rng.UniformInt(5), rng);
+      }
+      if (!pattern.has_value()) continue;
+      TestPair pair;
+      pair.name = "cross/" + source_name + "->" + target_name + "/p" +
+                  std::to_string(draw);
+      switch ((2 * i + draw) % 4) {
+        case 1:
+          pair.options.induced = true;
+          break;
+        case 2:
+          pair.options.match_edge_labels = false;
+          break;
+        case 3:
+          pattern->SetVertexLabel(
+              static_cast<VertexId>(rng.UniformInt(pattern->NumVertices())),
+              kDummyLabel);
+          pair.options.dummy_is_wildcard = true;
+          break;
+        default:
+          break;
+      }
+      pair.pattern = std::move(*pattern);
+      pair.target = target;
+      pairs.push_back(std::move(pair));
+    }
+  }
   return pairs;
+}
+
+// True when the engine's label census rules `pair` out before any search:
+// labels are matched exactly and some census bucket of the pattern exceeds
+// the target's.
+bool CensusRulesOut(const TestPair& pair) {
+  if (!pair.options.match_vertex_labels || pair.options.dummy_is_wildcard) {
+    return false;
+  }
+  return !PatternPlan(pair.pattern)
+              .census.FitsIn(MatchIndex(pair.target).census,
+                             pair.options.match_edge_labels);
 }
 
 TEST(DifferentialTest, CorpusHasTargetSize) {
   // The harness is only meaningful at volume; guard against generator
   // changes silently shrinking the corpus.
-  EXPECT_GE(MakePairs().size(), 190u);
+  EXPECT_GE(MakePairs().size(), 245u);
 }
 
 TEST(DifferentialTest, EngineMatchesNaiveOracleOnSeededCorpus) {
@@ -244,6 +311,43 @@ TEST(DifferentialTest, BudgetedRunIsPrefixOfFullRun) {
   EXPECT_GE(checked, 300u);
 }
 
+TEST(DifferentialTest, RuledOutPairsCostNoStepsAtAnyBudget) {
+  // Contract 4. The oracle agreement above shows the census never rules out
+  // a pair with an embedding; this pins the cost of the pairs it does, and
+  // that the option gate matters: some pairs fail the census when it is
+  // applied regardless of options, yet embed under their own.
+  size_t ruled_out = 0;
+  size_t ruled_out_cross = 0;
+  size_t kept_by_gate = 0;
+  for (const TestPair& pair : MakePairs()) {
+    SCOPED_TRACE(pair.name);
+    if (!CensusRulesOut(pair)) {
+      const bool fits = PatternPlan(pair.pattern)
+                            .census.FitsIn(MatchIndex(pair.target).census,
+                                           /*edge_labels=*/true);
+      if (!fits && !naive::AllEmbeddings(pair.pattern, pair.target,
+                                         pair.options)
+                        .empty()) {
+        ++kept_by_gate;
+      }
+      continue;
+    }
+    ++ruled_out;
+    if (pair.name.rfind("cross/", 0) == 0) ++ruled_out_cross;
+    for (IndexKind kind : {IndexKind::kShared, IndexKind::kPrivate}) {
+      for (uint64_t budget : {uint64_t{0}, uint64_t{1}, kStepBudget}) {
+        RunResult run = RunEngine(pair, kind, budget);
+        EXPECT_EQ(run.count, 0u);
+        EXPECT_EQ(run.steps, 0u);
+        EXPECT_FALSE(run.hit_limit);
+      }
+    }
+  }
+  EXPECT_GE(ruled_out, 30u);
+  EXPECT_GE(ruled_out_cross, 14u);
+  EXPECT_GE(kept_by_gate, 3u);
+}
+
 TEST(DifferentialTest, WildcardDummySemanticsAgree) {
   // Closure-graph semantics: dummy labels match anything, which disables the
   // index's label filters — degree and truss pruning must still agree with
@@ -271,6 +375,39 @@ TEST(DifferentialTest, WildcardDummySemanticsAgree) {
     ++verified;
   }
   EXPECT_GE(verified, 8u);
+}
+
+TEST(CoverageTest, BitsEqualOracleOnCollection) {
+  // Collection coverage, the scoring CATAPULT and MIDAS run, against the
+  // oracle. Patterns come from molecules outside the collection, so most
+  // (pattern, graph) pairs have no embedding and many fail the census.
+  GraphDatabase molecules = gen::MoleculeDatabase(100, {}, 0xC0FE);
+  GraphDatabase collection;
+  for (size_t i = 0; i < 60; ++i) collection.Add(molecules.graphs()[i]);
+  const DbCoverageIndex coverage(collection);
+  Rng rng(0xB175);
+  size_t patterns = 0;
+  size_t covered = 0;
+  for (size_t i = 60; i < molecules.size(); ++i) {
+    for (int draw = 0; draw < 2; ++draw) {
+      std::optional<Graph> pattern = RandomConnectedSubgraph(
+          molecules.graphs()[i], 2 + rng.UniformInt(6), rng);
+      if (!pattern.has_value()) continue;
+      ++patterns;
+      const Bitset bits = coverage.Bits(*pattern);
+      for (size_t g = 0; g < collection.size(); ++g) {
+        const bool embeds = !naive::AllEmbeddings(
+                                 *pattern, collection.graphs()[g], {})
+                                 .empty();
+        EXPECT_EQ(bits.Test(g), embeds) << "pattern " << patterns << " graph "
+                                        << g;
+        covered += embeds ? 1 : 0;
+      }
+    }
+  }
+  EXPECT_GE(patterns, 40u);
+  EXPECT_GT(covered, 0u);
+  EXPECT_LT(covered, patterns * collection.size());
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -13,6 +14,7 @@
 #include "match/csr_graph.h"
 #include "match/pattern_utils.h"
 #include "match/vf2.h"
+#include "metrics/coverage.h"
 #include "naive_matcher.h"
 #include "truss/truss.h"
 
@@ -507,6 +509,204 @@ TEST(PatternPlanTest, OrdersFromEverySeedAnchorAtEarlierNeighbors) {
   two_edges.AddEdge(0, 1);
   two_edges.AddEdge(2, 3);
   EXPECT_EQ(CheckPlanOrders(two_edges), 4u);
+}
+
+TEST(Vf2Test, EmptyPatternHasOneEmbeddingEverywhere) {
+  // The empty mapping embeds the empty pattern in every target, the empty
+  // one included. All four entry points, the one-off helpers, collection
+  // coverage and the oracle agree on it.
+  const Graph empty;
+  for (const Graph& target : {Graph(), builder::Triangle()}) {
+    SubgraphMatcher matcher(empty, target);
+    EXPECT_TRUE(matcher.Exists());
+    std::optional<Embedding> one = matcher.FindOne();
+    ASSERT_TRUE(one.has_value());
+    EXPECT_TRUE(one->empty());
+    EXPECT_EQ(matcher.CountEmbeddings(), 1u);
+    EXPECT_EQ(matcher.steps(), 1u);  // the search root
+    std::vector<Embedding> delivered;
+    EXPECT_EQ(matcher.Enumerate([&](const Embedding& e) {
+      delivered.push_back(e);
+      return true;
+    }),
+              1u);
+    EXPECT_EQ(delivered, std::vector<Embedding>{Embedding{}});
+    EXPECT_TRUE(ContainsSubgraph(target, empty));
+    EXPECT_EQ(CountEmbeddings(target, empty, 0), 1u);
+    EXPECT_EQ(naive::AllEmbeddings(empty, target, MatchOptions{}),
+              std::vector<Embedding>{Embedding{}});
+  }
+  GraphDatabase db;
+  db.Add(builder::Triangle());
+  db.Add(builder::Path(3, /*vlabel=*/1));
+  EXPECT_DOUBLE_EQ(DbCoverage(db, empty), 1.0);
+}
+
+// One Exists through a shared plan and index, so a test can read the step
+// count and the census verdict beside the answer.
+struct CensusProbe {
+  bool found = false;
+  uint64_t steps = 0;
+  bool census_fits = false;  // ungated: vertex buckets, edge buckets too
+};
+
+CensusProbe ProbeExists(const Graph& pattern, const Graph& target,
+                        const MatchOptions& options = {}) {
+  const PatternPlan plan(pattern, kNoTrussShells);
+  const MatchIndex index(target, kNoTrussShells);
+  SubgraphMatcher matcher(plan, index, options);
+  CensusProbe probe;
+  probe.found = matcher.Exists();
+  probe.steps = matcher.steps();
+  probe.census_fits = plan.census.FitsIn(index.census, /*edge_labels=*/true);
+  return probe;
+}
+
+TEST(LabelCensusTest, RulesOutMissingLabelsAndEdgeTypesAtZeroSteps) {
+  // Both patterns are smaller than the target, but it has only one label-4
+  // vertex and no bond-2 edge, so neither pair is searched at any budget.
+  const Graph target =
+      builder::FromLists({4, 5, 5, 5}, {{0, 1, 1}, {1, 2, 1}, {2, 3, 1}});
+  const Graph two_fours = builder::FromLists({4, 5, 4}, {{0, 1, 1}, {1, 2, 1}});
+  const Graph double_bond = builder::FromLists({4, 5}, {{0, 1, 2}});
+  const MatchIndex index(target);
+  for (const Graph* pattern : {&two_fours, &double_bond}) {
+    const PatternPlan plan(*pattern);
+    EXPECT_FALSE(plan.census.FitsIn(index.census, /*edge_labels=*/true));
+    for (uint64_t budget : {0u, 1u, 1000u}) {
+      MatchOptions options;
+      options.max_steps = budget;
+      SubgraphMatcher matcher(plan, index, options);
+      EXPECT_FALSE(matcher.Exists());
+      EXPECT_FALSE(matcher.FindOne().has_value());
+      EXPECT_EQ(matcher.CountEmbeddings(), 0u);
+      EXPECT_EQ(matcher.steps(), 0u);
+      EXPECT_FALSE(matcher.hit_step_limit());
+    }
+  }
+}
+
+TEST(LabelCensusTest, SaturatedCountsNeverRejectAStar) {
+  // 300 same-label leaves saturate the hub graph's counts at 255. A 3-leaf
+  // star still fits, and so does a 260-leaf star, saturated on both sides.
+  // Counts that wrapped instead (300 -> 44) would reject the 60-leaf star.
+  const Graph hub = builder::Star(300, /*vlabel=*/7, /*elabel=*/1);
+  for (size_t leaves : {3u, 60u, 260u}) {
+    SCOPED_TRACE(leaves);
+    CensusProbe probe = ProbeExists(builder::Star(leaves, 7, 1), hub);
+    EXPECT_TRUE(probe.census_fits);
+    EXPECT_TRUE(probe.found);
+  }
+}
+
+TEST(LabelCensusTest, LabelsSharingABucketNeverCauseARejection) {
+  // l and l + 64k fall in one bucket of any fold by 32 or 64. Each pattern
+  // below is checked against the oracle over targets that mix such labels,
+  // with small, large and kDummyLabel labels (compared exactly here).
+  for (Label l : {Label{3}, Label{40}, Label{0xFFFFFF00u}}) {
+    SCOPED_TRACE(l);
+    const Graph target = builder::FromLists(
+        {l, l + 64, l + 128, kDummyLabel, l},
+        {{0, 1, 1}, {1, 2, 65}, {2, 3, 1}, {3, 4, kDummyLabel}});
+    const std::vector<Graph> patterns = {
+        builder::FromLists({l + 64, l + 128}, {{0, 1, 65}}),
+        builder::FromLists({l, l + 64, l + 128}, {{0, 1, 1}, {1, 2, 65}}),
+        builder::FromLists({l + 128, kDummyLabel, l},
+                           {{0, 1, 1}, {1, 2, kDummyLabel}}),
+        // Folded alike but absent: the census merges the labels, so only
+        // the search can tell l + 64 from l + 128 here.
+        builder::FromLists({l + 64, l + 64}, {}),
+        builder::FromLists({l + 128, l + 128, l + 128}, {}),
+    };
+    for (const Graph& pattern : patterns) {
+      const bool embeds =
+          !naive::AllEmbeddings(pattern, target, MatchOptions{}).empty();
+      CensusProbe probe = ProbeExists(pattern, target);
+      EXPECT_EQ(probe.found, embeds);
+      if (embeds) {
+        EXPECT_TRUE(probe.census_fits);
+      }
+    }
+    // The merged-but-absent pairs fit the census and are searched.
+    EXPECT_GT(ProbeExists(patterns[3], target).steps, 0u);
+  }
+}
+
+TEST(LabelCensusTest, GatedOffWhenLabelsAreNotMatchedExactly) {
+  // Each pattern fails the census, so the default options rule it out at
+  // 0 steps; under the option that stops matching those labels exactly, it
+  // embeds.
+  const Graph target = builder::FromLists({1, 2, 2}, {{0, 1, 5}, {1, 2, 5}});
+  MatchOptions ignore_bonds;
+  ignore_bonds.match_edge_labels = false;
+  MatchOptions ignore_atoms;
+  ignore_atoms.match_vertex_labels = false;
+  MatchOptions wildcard;
+  wildcard.dummy_is_wildcard = true;
+  const std::vector<std::pair<Graph, MatchOptions>> cases = {
+      {builder::FromLists({1, 2, 2}, {{0, 1, 6}, {1, 2, 6}}), ignore_bonds},
+      {builder::Path(3, /*vlabel=*/9, /*elabel=*/5), ignore_atoms},
+      {builder::Path(3, kDummyLabel, /*elabel=*/5), wildcard},
+  };
+  for (const auto& [pattern, options] : cases) {
+    CensusProbe strict = ProbeExists(pattern, target);
+    EXPECT_FALSE(strict.census_fits);
+    EXPECT_FALSE(strict.found);
+    EXPECT_EQ(strict.steps, 0u);
+    CensusProbe gated = ProbeExists(pattern, target, options);
+    EXPECT_TRUE(gated.found);
+    EXPECT_GT(gated.steps, 0u);
+    EXPECT_EQ(CountEmbeddings(target, pattern, 0, options),
+              naive::AllEmbeddings(pattern, target, options).size());
+  }
+}
+
+// `g` with vertex label i replaced by vertex_pool[i] and edge label i by
+// edge_pool[i].
+Graph Relabeled(const Graph& g, const std::vector<Label>& vertex_pool,
+                const std::vector<Label>& edge_pool) {
+  std::vector<Label> labels;
+  for (VertexId v = 0; v < g.NumVertices(); ++v) {
+    labels.push_back(vertex_pool[g.VertexLabel(v)]);
+  }
+  std::vector<Edge> edges = g.Edges();
+  for (Edge& e : edges) e.label = edge_pool[e.label];
+  return builder::FromLists(labels, edges);
+}
+
+TEST(LabelCensusTest, AdmitsEveryPairTheOracleMatches) {
+  // Random pairs over alphabets whose labels collide in the census buckets.
+  // Half the patterns come from the target itself, half from a sibling
+  // graph; every pair the oracle matches must fit the census.
+  const std::vector<Label> vertex_pool = {0, 1, 32, 33, 64, 0xFFFFFFE0u,
+                                          kDummyLabel};
+  const std::vector<Label> edge_pool = {0, 64, 7, kDummyLabel};
+  Rng rng(0xCE45);
+  size_t matched_pairs = 0;
+  for (int round = 0; round < 100; ++round) {
+    gen::LabelConfig labels;
+    labels.num_vertex_labels = 2 + round % 6;
+    labels.num_edge_labels = 1 + round % 4;
+    const Graph target = Relabeled(
+        gen::ErdosRenyi(14 + round % 8, 0.2, labels, rng), vertex_pool,
+        edge_pool);
+    const Graph sibling = Relabeled(gen::ErdosRenyi(12, 0.25, labels, rng),
+                                    vertex_pool, edge_pool);
+    const MatchIndex index(target, kNoTrussShells);
+    for (const Graph* source : {&target, &target, &sibling, &sibling}) {
+      std::optional<Graph> pattern =
+          RandomConnectedSubgraph(*source, 1 + rng.UniformInt(4), rng);
+      if (!pattern.has_value()) continue;
+      if (naive::AllEmbeddings(*pattern, target, MatchOptions{}).empty()) {
+        continue;
+      }
+      ++matched_pairs;
+      const PatternPlan plan(*pattern, kNoTrussShells);
+      EXPECT_TRUE(plan.census.FitsIn(index.census, /*edge_labels=*/true));
+      EXPECT_TRUE(SubgraphMatcher(plan, index).Exists());
+    }
+  }
+  EXPECT_GE(matched_pairs, 200u);
 }
 
 }  // namespace

@@ -22,13 +22,14 @@ namespace naive {
 
 // Every embedding of `pattern` in `target` under the semantic flags of
 // `options` (induced, vertex/edge labels, wildcard dummies; the budget
-// fields are ignored), sorted ascending.
+// fields are ignored), sorted ascending. An empty pattern has exactly one
+// embedding, the empty mapping.
 inline std::vector<Embedding> AllEmbeddings(const Graph& pattern,
                                             const Graph& target,
                                             const MatchOptions& options) {
   const size_t n = pattern.NumVertices();
   std::vector<Embedding> out;
-  if (n == 0 || n > target.NumVertices()) return out;
+  if (n > target.NumVertices()) return out;
 
   auto labels_agree = [&](Label p, Label t) {
     return p == t || (options.dummy_is_wildcard &&
