@@ -28,7 +28,7 @@ GraphId GraphDatabase::Add(Graph g) {
   VQI_CHECK(index_.find(id) == index_.end())
       << "graph id " << id << " already present";
   index_[id] = graphs_.size();
-  versions_[id] = NextContentVersion();
+  version_ = versions_[id] = NextContentVersion();
   graphs_.push_back(std::move(g));
   return id;
 }
@@ -44,7 +44,7 @@ bool GraphDatabase::Remove(GraphId id) {
   }
   graphs_.pop_back();
   index_.erase(it);
-  versions_[id] = NextContentVersion();
+  version_ = versions_[id] = NextContentVersion();
   return true;
 }
 

@@ -52,15 +52,10 @@ void InflightTable::RegisterMetrics(obs::MetricsRegistry& registry,
   fanout_total_ = &registry.GetCounter(
       "vqi_coalesce_fanout_total",
       "Waiter responses resolved directly from a leader's result.", labels);
-  detach_total_ = &registry.GetCounter(
-      "vqi_coalesce_detach_total",
-      "Waiters detached at fan-out because their key was invalidated "
-      "mid-flight (epoch change); each re-executes against fresh data.",
-      labels);
   reexec_total_ = &registry.GetCounter(
       "vqi_coalesce_reexec_total",
-      "Independent waiter re-executions after a leader error, a rejected "
-      "partial, or a mid-flight invalidation.",
+      "Independent waiter re-executions after a leader error or a rejected "
+      "partial.",
       labels);
   reexec_denied_total_ = &registry.GetCounter(
       "vqi_coalesce_reexec_denied_total",
@@ -75,10 +70,6 @@ void InflightTable::RegisterMetrics(obs::MetricsRegistry& registry,
 
 void InflightTable::RecordFanout(uint64_t count) {
   if (fanout_total_ != nullptr) fanout_total_->Increment(count);
-}
-
-void InflightTable::RecordDetach() {
-  if (detach_total_ != nullptr) detach_total_->Increment();
 }
 
 void InflightTable::RecordReexec() {

@@ -22,7 +22,7 @@ namespace vqi {
 /// One coalesced duplicate parked on an in-flight leader: everything the
 /// service needs to resolve the request at fan-out time — or to re-execute it
 /// independently when the leader's result cannot be shared (leader error,
-/// partial result a strict waiter rejects, mid-flight invalidation).
+/// partial result a strict waiter rejects).
 struct InflightWaiter {
   QueryRequest request;
   std::shared_ptr<std::promise<QueryResult>> promise;
@@ -74,18 +74,17 @@ class InflightTable {
   size_t InflightKeys() const;
 
   /// Registers the coalescing instrument set (vqi_coalesce_{leaders,waiters,
-  /// fanout,detach,reexec,reexec_denied}_total and the waiter-wait
-  /// histogram). Must be called before the table is used concurrently (the
-  /// handles are unsynchronized init-time state); the registry must outlive
-  /// the table. Without registration the table still works; events are
-  /// simply unmetered. `labels` is applied to every series so N tables can
-  /// share one registry (e.g. {shard="<i>"} under a sharded router).
+  /// fanout,reexec,reexec_denied}_total and the waiter-wait histogram). Must
+  /// be called before the table is used concurrently (the handles are
+  /// unsynchronized init-time state); the registry must outlive the table.
+  /// Without registration the table still works; events are simply
+  /// unmetered. `labels` is applied to every series so N tables can share
+  /// one registry (e.g. {shard="<i>"} under a sharded router).
   void RegisterMetrics(obs::MetricsRegistry& registry,
                        const obs::Labels& labels = {});
 
   // Metric hooks for the fan-out owner (the table cannot see fan-out policy).
   void RecordFanout(uint64_t count);
-  void RecordDetach();
   void RecordReexec();
   void RecordReexecDenied();
   void ObserveWaiterWait(double ms);
@@ -100,9 +99,6 @@ class InflightTable {
   uint64_t fanout() const {
     return fanout_total_ != nullptr ? fanout_total_->Value() : 0;
   }
-  uint64_t detached() const {
-    return detach_total_ != nullptr ? detach_total_->Value() : 0;
-  }
 
  private:
   mutable Mutex mutex_;
@@ -116,7 +112,6 @@ class InflightTable {
   obs::Counter* leaders_total_ = nullptr;
   obs::Counter* waiters_total_ = nullptr;
   obs::Counter* fanout_total_ = nullptr;
-  obs::Counter* detach_total_ = nullptr;
   obs::Counter* reexec_total_ = nullptr;
   obs::Counter* reexec_denied_total_ = nullptr;
   obs::Histogram* waiter_wait_ms_ = nullptr;

@@ -63,7 +63,6 @@ QueryService::QueryService(const GraphDatabase& db, QueryServiceOptions options)
       options_(options),
       registry_(options.metrics != nullptr ? options.metrics : &metrics_),
       traces_(options.trace_capacity),
-      suggestions_(SuggestionIndex::Build(db)),
       cache_(std::max<size_t>(1, options.cache_capacity),
              std::max<size_t>(1, options.cache_shards)),
       waiter_budget_(options.coalesce_retry_ratio,
@@ -108,10 +107,7 @@ QueryService::QueryService(const GraphDatabase& db, QueryServiceOptions options)
       "Requests answered with a partial (truncated) result.", base);
   cache_invalidations_total_ = &reg.GetCounter(
       "vqi_cache_invalidations_total",
-      "InvalidateCache() epoch bumps (e.g. maintenance batches).", base);
-  cache_key_invalidations_total_ = &reg.GetCounter(
-      "vqi_cache_key_invalidations_total",
-      "InvalidateCacheKey() per-graph epoch bumps.", base);
+      "InvalidateCache() calls, each dropping every cached result.", base);
   cache_probe_faults_total_ = &reg.GetCounter(
       "vqi_cache_probe_degraded_total",
       "Cache probes degraded to a miss by an injected cache fault.", base);
@@ -145,61 +141,37 @@ QueryService::~QueryService() { Shutdown(); }
 void QueryService::Shutdown() { pool_.Shutdown(); }
 
 void QueryService::InvalidateCache() {
-  cache_epoch_.fetch_add(1, std::memory_order_relaxed);
+  cache_.Clear();
   cache_invalidations_total_->Increment();
-}
-
-void QueryService::InvalidateCacheKey(GraphId graph_id) {
-  {
-    MutexLock lock(&graph_epochs_mutex_);
-    ++graph_epochs_[graph_id];
-  }
-  // Whole-collection results and suggestions depend on every graph, so they
-  // must go too; single-target and explicit-target-set entries that do not
-  // involve this graph survive.
-  all_graphs_epoch_.fetch_add(1, std::memory_order_relaxed);
-  cache_key_invalidations_total_->Increment();
-}
-
-uint64_t QueryService::GraphEpoch(GraphId graph_id) const {
-  MutexLock lock(&graph_epochs_mutex_);
-  auto it = graph_epochs_.find(graph_id);
-  return it == graph_epochs_.end() ? 0 : it->second;
 }
 
 std::string QueryService::CacheKey(const QueryRequest& request) const {
   if (options_.cache_capacity == 0 && !options_.enable_coalescing) return "";
   if (request.pattern.NumVertices() > kMaxCacheableVertices) return "";
-  // The epoch prefix implements InvalidateCache(): bumping it reroutes every
-  // lookup away from pre-bump entries, which then age out via LRU. The
-  // second segment implements InvalidateCacheKey(): entries are additionally
-  // keyed by the epoch of the data they depend on — the target graph's for a
-  // single-target match, each member graph's for an explicit target set, the
-  // whole collection's for kAllGraphs matches and suggestions. Coalesced
-  // waiters are detached by the same mechanism: fan-out recomputes this key
-  // and a mid-flight invalidation makes it differ from the entry's.
-  std::string key = "e";
-  key += std::to_string(cache_epoch_.load(std::memory_order_relaxed));
-  key += '|';
+  // The key leads with the versions of the data the result reads: the target
+  // graph's content version for a single-target match, each member's for an
+  // explicit target set, the collection's Version() for kAllGraphs matches
+  // and suggestions. An edit therefore reroutes exactly the lookups that
+  // read the edited data; unaffected entries keep hitting, and stale ones
+  // age out via LRU.
+  std::string key;
   if (request.kind == QueryKind::kSuggest ||
       (request.target == kAllGraphs && request.targets.empty())) {
     key += 'a';
-    key += std::to_string(all_graphs_epoch_.load(std::memory_order_relaxed));
+    key += std::to_string(db_.Version());
   } else if (!request.targets.empty()) {
     // Admission sorted and deduplicated the set, so equal sets produce equal
-    // keys. One lock for all members keeps the epoch vector consistent.
+    // keys.
     key += 't';
-    MutexLock lock(&graph_epochs_mutex_);
     for (GraphId id : request.targets) {
       key += std::to_string(id);
       key += ':';
-      auto it = graph_epochs_.find(id);
-      key += std::to_string(it == graph_epochs_.end() ? 0 : it->second);
+      key += std::to_string(db_.ContentVersion(id));
       key += ',';
     }
   } else {
     key += 'g';
-    key += std::to_string(GraphEpoch(request.target));
+    key += std::to_string(db_.ContentVersion(request.target));
   }
   key += '|';
   if (request.kind == QueryKind::kSuggest) {
@@ -414,23 +386,15 @@ QueryResult QueryService::ExecuteOnWorker(const QueryRequest& request,
 }
 
 void QueryService::FanOut(const std::string& key, const QueryResult& leader) {
+  // The database is only edited between requests, so every waiter's key
+  // still names the data the leader read.
   std::vector<InflightWaiter> waiters = inflight_.Complete(key);
   for (InflightWaiter& waiter : waiters) {
-    // Mid-flight invalidation check: if any epoch this waiter depends on
-    // moved while the leader ran, its current key no longer matches the key
-    // it coalesced under — the leader's result may be stale, so the waiter
-    // detaches and re-executes against fresh data. Correctness-driven, so it
-    // is exempt from the retry budget.
-    if (CacheKey(waiter.request) != key) {
-      inflight_.RecordDetach();
-      Reexecute(std::move(waiter), /*budgeted=*/false, leader);
-      continue;
-    }
-    ResolveWaiter(std::move(waiter), leader);
+    ResolveWaiter(std::move(waiter), key, leader);
   }
 }
 
-void QueryService::ResolveWaiter(InflightWaiter waiter,
+void QueryService::ResolveWaiter(InflightWaiter waiter, const std::string& key,
                                  const QueryResult& leader) {
   // Shareable: any full OK result (even with a waiter whose own deadline
   // expired in flight — serving a ready answer is free, same rationale as
@@ -440,7 +404,7 @@ void QueryService::ResolveWaiter(InflightWaiter waiter,
   const bool shareable =
       leader.status.ok() && (!leader.truncated || waiter.request.allow_partial);
   if (!shareable) {
-    Reexecute(std::move(waiter), /*budgeted=*/true, leader);
+    Reexecute(std::move(waiter), key, leader);
     return;
   }
   QueryResult result = leader;
@@ -454,7 +418,7 @@ void QueryService::ResolveWaiter(InflightWaiter waiter,
   waiter.promise->set_value(std::move(result));
 }
 
-void QueryService::Reexecute(InflightWaiter waiter, bool budgeted,
+void QueryService::Reexecute(InflightWaiter waiter, const std::string& key,
                              const QueryResult& leader) {
   inflight_.ObserveWaiterWait(waiter.attached.ElapsedMillis());
   // The outcome a waiter inherits when its re-execution cannot run. A
@@ -474,7 +438,7 @@ void QueryService::Reexecute(InflightWaiter waiter, bool budgeted,
     }
     return result;
   };
-  if (budgeted && !waiter_budget_.TryConsumeRetry()) {
+  if (!waiter_budget_.TryConsumeRetry()) {
     // Budget exhausted: re-running every waiter of a failing leader would
     // amplify a coalesced burst back into the thundering herd coalescing
     // absorbed. Propagate the leader's outcome instead.
@@ -489,23 +453,19 @@ void QueryService::Reexecute(InflightWaiter waiter, bool budgeted,
   const char* kind = KindName(waiter.request.kind);
   auto promise = waiter.promise;
   Stopwatch admitted = waiter.admitted;
-  // Recompute the key (a detach means it changed) and dispatch as a plain
-  // non-leading task: re-executions never re-join the in-flight table, so a
-  // persistently failing leader cannot grow retry chains.
-  std::string key = CacheKey(waiter.request);
+  // Dispatch as a plain non-leading task: re-executions never re-join the
+  // in-flight table, so a persistently failing leader cannot grow retry
+  // chains.
   Status submitted =
       Dispatch(std::make_shared<QueryRequest>(std::move(waiter.request)), key,
                admitted, std::move(waiter.trace), promise, /*lead=*/false);
   if (!submitted.ok()) {
     // Pool full or shut down; the promise must still resolve. The request
-    // was admitted, so a retroactive rejection would be dishonest: a
-    // budgeted waiter inherits the leader's outcome (same contract as
-    // budget denial); a detached waiter cannot (the leader's result is
-    // stale for it) and reports the dispatch failure. The trace moved into
-    // the dead dispatch, so record a minimal fresh one.
-    QueryResult result = budgeted ? leader_outcome() : QueryResult{};
-    if (!budgeted) result.status = submitted;
-    result.coalesced = true;
+    // was admitted, so a retroactive rejection would be dishonest: the
+    // waiter inherits the leader's outcome (same contract as budget
+    // denial). The trace moved into the dead dispatch, so record a minimal
+    // fresh one.
+    QueryResult result = leader_outcome();
     result.latency_ms = admitted.ElapsedMillis();
     obs::RequestTrace trace;
     trace.id = next_trace_id_.fetch_add(1, std::memory_order_relaxed);
@@ -629,10 +589,29 @@ QueryResult QueryService::RunMatch(const QueryRequest& request,
 
 QueryResult QueryService::RunSuggest(const QueryRequest& request) {
   QueryResult result;
-  result.suggestions = suggestions_.SuggestNextEdges(
+  result.suggestions = CurrentSuggestions()->SuggestNextEdges(
       request.pattern, request.focus, request.top_k);
   result.status = Status::OK();
   return result;
+}
+
+std::shared_ptr<const SuggestionIndex> QueryService::CurrentSuggestions() {
+  const uint64_t version = db_.Version();
+  {
+    MutexLock lock(&suggestions_mutex_);
+    if (suggestions_ != nullptr && suggestions_version_ == version) {
+      return suggestions_;
+    }
+  }
+  // Build outside the lock, as MatchIndexCache does: the scan covers every
+  // edge of the collection and must not serialize suggest requests that
+  // already hold the current index.
+  auto built =
+      std::make_shared<const SuggestionIndex>(SuggestionIndex::Build(db_));
+  MutexLock lock(&suggestions_mutex_);
+  suggestions_ = built;
+  suggestions_version_ = version;
+  return built;
 }
 
 Status QueryService::CountWithDeadline(const PatternPlan& pattern,
@@ -780,7 +759,6 @@ ServiceStats QueryService::Snapshot() const {
   stats.coalesce_leaders = inflight_.leaders();
   stats.coalesce_waiters = inflight_.waiters();
   stats.coalesce_fanout = inflight_.fanout();
-  stats.coalesce_detached = inflight_.detached();
   obs::HistogramSnapshot latency = latency_ms_->Snapshot();
   stats.p50_latency_ms = latency.Quantile(0.50);
   stats.p99_latency_ms = latency.Quantile(0.99);

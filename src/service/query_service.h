@@ -7,7 +7,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/field_count.h"
@@ -52,7 +51,6 @@ struct ServiceStats {
   uint64_t coalesce_leaders = 0;   ///< requests that led a single-flight entry
   uint64_t coalesce_waiters = 0;   ///< requests attached to an in-flight leader
   uint64_t coalesce_fanout = 0;    ///< waiter responses served from a leader
-  uint64_t coalesce_detached = 0;  ///< waiters detached by mid-flight invalidation
   double p50_latency_ms = 0;
   double p99_latency_ms = 0;
   /// MatchIndex builds (lazy, content-version driven). Steady state is one
@@ -64,7 +62,7 @@ struct ServiceStats {
 // ServiceStats is positionally brace-initialized by tests and tools;
 // inserting a field mid-struct silently shifts every later initializer.
 // Append only, then update this count after auditing the call sites.
-static_assert(FieldCount<ServiceStats>() == 17,
+static_assert(FieldCount<ServiceStats>() == 16,
               "ServiceStats changed shape: append fields at the end, audit "
               "brace initializers, then update this count");
 
@@ -103,8 +101,7 @@ struct QueryServiceOptions {
   /// failed, or returned a partial a strict waiter rejects): each attached
   /// waiter deposits `ratio` tokens, each re-execution withdraws one — so a
   /// failing leader cannot amplify a coalesced burst back into a full
-  /// thundering herd. Detach re-executions (mid-flight invalidation) are
-  /// exempt: they are required for correctness, never load mitigation.
+  /// thundering herd.
   double coalesce_retry_ratio = 0.5;
   double coalesce_retry_capacity = 8.0;
   /// External metrics registry: when set, every instrument (service, pool,
@@ -147,9 +144,11 @@ static_assert(FieldCount<QueryServiceOptions>() == 13,
 /// docs/observability.md for the instrument catalog) and leaves a
 /// stage-by-stage RequestTrace in a bounded ring of recent traces.
 ///
-/// Thread-safe; the database must outlive the service. If the database is
-/// mutated between requests (e.g. VqiMaintainer batches), call
-/// InvalidateCache() afterwards so cached match counts cannot go stale.
+/// Thread-safe; the database must outlive the service. It may be mutated
+/// between requests (e.g. VqiMaintainer batches), never during one. Cache
+/// and coalescing keys carry the content versions of the data each result
+/// reads, so an edit reroutes exactly the lookups it affects: no caller has
+/// to invalidate anything for results to stay fresh.
 class QueryService {
  public:
   explicit QueryService(const GraphDatabase& db,
@@ -171,20 +170,9 @@ class QueryService {
   /// Counters + latency percentiles over everything served so far.
   ServiceStats Snapshot() const;
 
-  /// Invalidates every cached result by bumping the cache-key epoch: stale
-  /// entries become unreachable immediately and age out via LRU. Cheap
-  /// (no locks, no scan); call after any database mutation, e.g. from a
-  /// VqiMaintainer batch listener. In-flight coalesced waiters whose key
-  /// changes detach at fan-out and re-execute against fresh data.
+  /// Drops every cached result. Never needed for freshness (cache keys
+  /// follow the database's content versions); it only frees the entries.
   void InvalidateCache();
-
-  /// Invalidates only the cached results that could depend on `graph_id`:
-  /// single-target entries for that graph, explicit target-set entries whose
-  /// set contains it, plus every whole-collection (kAllGraphs) and
-  /// suggestion entry. Entries whose target (set) does not involve the graph
-  /// survive, so a maintenance batch that touches one graph no longer
-  /// cold-starts the whole cache.
-  void InvalidateCacheKey(GraphId graph_id);
 
   /// The service's instrument registry (counters, gauges, histograms):
   /// the external one when QueryServiceOptions::metrics was set, otherwise
@@ -209,6 +197,10 @@ class QueryService {
   QueryResult Run(const QueryRequest& request, const Stopwatch& admitted);
   QueryResult RunMatch(const QueryRequest& request, const Stopwatch& admitted);
   QueryResult RunSuggest(const QueryRequest& request);
+  /// The suggestion index of the database's current Version(), rebuilt
+  /// (outside the lock) by the first caller after an edit.
+  std::shared_ptr<const SuggestionIndex> CurrentSuggestions()
+      VQLIB_EXCLUDES(suggestions_mutex_);
   /// Counts embeddings of the request's compiled `pattern` in `target` in
   /// cooperative step slices. Returns OK when the count completed,
   /// kDeadlineExceeded when the deadline expired first (*count then holds the
@@ -226,17 +218,10 @@ class QueryService {
   /// degrades to a miss (the cache is an optimization, never a failure
   /// source).
   std::optional<QueryResult> ProbeCache(const std::string& key);
-  /// Epoch of one target graph's cached entries (see InvalidateCacheKey).
-  /// Takes graph_epochs_mutex_ itself; must not be called with it held.
-  uint64_t GraphEpoch(GraphId graph_id) const
-      VQLIB_EXCLUDES(graph_epochs_mutex_);
   /// Cache/coalescing key, or "" when the request is uncacheable (pattern
   /// too large for canonicalization, or both the cache and coalescing are
-  /// disabled). The key embeds every epoch the result depends on, so an
-  /// invalidation reroutes lookups *and* lets fan-out detect stale waiters
-  /// by recomputing the key.
-  std::string CacheKey(const QueryRequest& request) const
-      VQLIB_EXCLUDES(graph_epochs_mutex_);
+  /// disabled). The key embeds the versions of the data the result reads.
+  std::string CacheKey(const QueryRequest& request) const;
   /// Enqueues the worker-side task for `request` (dequeue re-probe, execute,
   /// cache insert, fan-out when `lead`, completion recording). On a failed
   /// enqueue the leader's in-flight entry is aborted.
@@ -249,13 +234,13 @@ class QueryService {
                               const std::string& key,
                               const Stopwatch& admitted,
                               obs::RequestTrace& trace);
-  /// Resolves every waiter attached to `key` from the leader's result:
-  /// detached (invalidated) waiters re-execute unbudgeted, full results and
-  /// accepted partials fan out directly, everything else re-executes within
-  /// the coalesce retry budget.
+  /// Resolves every waiter attached to `key` from the leader's result: full
+  /// results and accepted partials fan out directly, everything else
+  /// re-executes within the coalesce retry budget.
   void FanOut(const std::string& key, const QueryResult& leader);
-  void ResolveWaiter(InflightWaiter waiter, const QueryResult& leader);
-  void Reexecute(InflightWaiter waiter, bool budgeted,
+  void ResolveWaiter(InflightWaiter waiter, const std::string& key,
+                     const QueryResult& leader);
+  void Reexecute(InflightWaiter waiter, const std::string& key,
                  const QueryResult& leader);
   /// Leader dispatch failed: answer any already-attached waiter with the
   /// same rejection.
@@ -274,7 +259,11 @@ class QueryService {
   // The registry in use: options_.metrics when provided, else &metrics_.
   obs::MetricsRegistry* registry_;
   obs::TraceRecorder traces_;
-  SuggestionIndex suggestions_;
+  // The suggestion index and the database Version() it was built from.
+  Mutex suggestions_mutex_;
+  std::shared_ptr<const SuggestionIndex> suggestions_
+      VQLIB_GUARDED_BY(suggestions_mutex_);
+  uint64_t suggestions_version_ VQLIB_GUARDED_BY(suggestions_mutex_) = 0;
   ShardedLruCache<QueryResult> cache_;
   // Declared before pool_: leader tasks running during pool shutdown still
   // fan out through the table and the budget.
@@ -282,17 +271,7 @@ class QueryService {
   resilience::RetryBudget waiter_budget_;
   ThreadPool pool_;
 
-  std::atomic<uint64_t> cache_epoch_{0};
   std::atomic<uint64_t> next_trace_id_{0};
-
-  // Per-graph cache epochs for InvalidateCacheKey. all_graphs_epoch_ covers
-  // entries that depend on the entire collection (kAllGraphs matches and
-  // suggestions); graph_epochs_ holds only graphs that were individually
-  // invalidated (absent = epoch 0).
-  std::atomic<uint64_t> all_graphs_epoch_{0};
-  mutable Mutex graph_epochs_mutex_;
-  std::unordered_map<GraphId, uint64_t> graph_epochs_
-      VQLIB_GUARDED_BY(graph_epochs_mutex_);
 
   // Instrument handles resolved once in the constructor.
   obs::Counter* admitted_total_;
@@ -303,7 +282,6 @@ class QueryService {
   obs::Counter* deadline_exceeded_total_;
   obs::Counter* truncated_total_;
   obs::Counter* cache_invalidations_total_;
-  obs::Counter* cache_key_invalidations_total_;
   obs::Counter* cache_probe_faults_total_;
   obs::Counter* backend_executions_total_;
   obs::Counter* match_steps_total_;

@@ -43,8 +43,8 @@ struct QueryRequest {
   GraphId target = kAllGraphs;
   /// Collection-scoped kMatchCount: when non-empty, match against exactly
   /// these graphs (each id must exist; duplicates are matched once). Cached
-  /// results of such a request are keyed by the epoch of every member, so
-  /// InvalidateCacheKey(g) evicts only entries whose target set contains g.
+  /// results of such a request are keyed by the content version of every
+  /// member, so an edit of graph g misses only the sets that contain g.
   std::vector<GraphId> targets;
   /// Wall-clock budget measured from admission; 0 disables the deadline.
   double deadline_ms = 0;

@@ -52,20 +52,16 @@ ShardedRouter::ShardedRouter(const GraphDatabase& db,
           options.router_queue, &metrics_, {{"pool", "router"}}}) {
   const size_t n = map_.num_shards();
   const size_t r_count = map_.num_replicas();
-  shard_dbs_.reserve(n * r_count);
+  shard_dbs_.reserve(n);
   shards_.reserve(n * r_count);
   clients_.reserve(n * r_count);
   for (size_t i = 0; i < n; ++i) {
-    for (size_t r = 0; r < r_count; ++r) {
-      // Each replica serves a private, full copy of its shard's members.
-      // Graph ids are preserved (GraphDatabase::Add keeps non-negative ids),
-      // so replica results merge without any id translation.
-      auto shard_db = std::make_unique<GraphDatabase>();
-      for (GraphId id : map_.Members(i)) shard_db->Add(db.Get(id));
-      shard_dbs_.push_back(std::move(shard_db));
-    }
-  }
-  for (size_t i = 0; i < n; ++i) {
+    // One copy of the shard's members, read by all of its replicas. Graph
+    // ids are preserved (GraphDatabase::Add keeps non-negative ids), so
+    // shard results merge without any id translation.
+    auto shard_db = std::make_unique<GraphDatabase>();
+    for (GraphId id : map_.Members(i)) shard_db->Add(db.Get(id));
+    shard_dbs_.push_back(std::move(shard_db));
     for (size_t r = 0; r < r_count; ++r) {
       QueryServiceOptions shard_options = options_.shard_options;
       shard_options.metrics = &metrics_;
@@ -81,8 +77,7 @@ ShardedRouter::ShardedRouter(const GraphDatabase& db,
         shard_options.fault_injector = options_.chaos_injector;
       }
       shards_.push_back(
-          std::make_unique<QueryService>(*shard_dbs_[Slot(i, r)],
-                                         shard_options));
+          std::make_unique<QueryService>(*shard_dbs_[i], shard_options));
       resilience::ServiceClientOptions client_options =
           options_.client_options;
       client_options.metric_label =
@@ -181,23 +176,6 @@ void ShardedRouter::Shutdown() {
   // replicas must still be alive while it drains.
   pool_.Shutdown();
   for (auto& shard : shards_) shard->Shutdown();
-}
-
-void ShardedRouter::InvalidateCacheKey(GraphId graph_id) {
-  const size_t owner = map_.OwnerOf(graph_id);
-  if (owner == ShardMap::kNoShard) return;
-  // Per-shard collection epochs: only the owner's kAllGraphs / suggestion
-  // entries depend on this graph, so the other shards' caches stay warm —
-  // but EVERY replica of the owner must drop the stale epoch, or a
-  // subsequent read balanced onto an unbumped sibling would serve stale
-  // data.
-  for (size_t r = 0; r < map_.num_replicas(); ++r) {
-    shards_[Slot(owner, r)]->InvalidateCacheKey(graph_id);
-  }
-}
-
-void ShardedRouter::InvalidateCache() {
-  for (auto& shard : shards_) shard->InvalidateCache();
 }
 
 size_t ShardedRouter::QueueDepth() const {
@@ -851,7 +829,6 @@ ServiceStats ShardedRouter::AggregateSnapshot() const {
     total.coalesce_leaders += s.coalesce_leaders;
     total.coalesce_waiters += s.coalesce_waiters;
     total.coalesce_fanout += s.coalesce_fanout;
-    total.coalesce_detached += s.coalesce_detached;
     total.index_builds += s.index_builds;
   }
   obs::HistogramSnapshot latency = latency_ms_->Snapshot();

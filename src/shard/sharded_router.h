@@ -30,13 +30,13 @@ namespace shard {
 struct ShardedRouterOptions {
   /// Number of QueryService shards; clamped to at least 1.
   size_t num_shards = 2;
-  /// Independent full copies of every shard (R-way replication). Each
-  /// replica is its own QueryService over its own copy of the shard's slice
-  /// (own thread pool, cache, coalescing) behind its own ServiceClient
-  /// (independent breaker and retry budget). 1 = unreplicated; clamped to
-  /// [1, 64]. With R > 1 reads balance across healthy replicas, hedges and
-  /// failover retries go to a sibling replica, and a shard only degrades to
-  /// a partial when ALL of its replicas are unavailable.
+  /// Replicas of every shard (R-way replication). Each replica is its own
+  /// QueryService (own thread pool, cache, coalescing) over the shard's one
+  /// read-only slice, behind its own ServiceClient (independent breaker and
+  /// retry budget). 1 = unreplicated; clamped to [1, 64]. With R > 1 reads
+  /// balance across healthy replicas, hedges and failover retries go to a
+  /// sibling replica, and a shard only degrades to a partial when ALL of its
+  /// replicas are unavailable.
   size_t num_replicas = 1;
   ShardPlacement placement = ShardPlacement::kRoundRobin;
   /// Template for every replica's QueryService. The router overwrites
@@ -122,16 +122,17 @@ struct RouterStats {
 
 /// Scatter-gather router over N shards x R replicas of independent
 /// QueryServices — the "millions of users" step: throughput scales with
-/// shards instead of one mutex domain, every shard owns the cache epochs of
-/// its member graphs, and with R > 1 a sick *replica* is distinguishable
-/// from sick *data*: reads balance across healthy replicas and fail over off
-/// a dark one instead of degrading the answer.
+/// shards instead of one mutex domain, and with R > 1 a sick *replica* is
+/// distinguishable from sick *data*: reads balance across healthy replicas
+/// and fail over off a dark one instead of degrading the answer.
 ///
 /// Construction partitions the graph collection deterministically (ShardMap)
-/// and builds R full copies of each shard's slice; each replica gets its own
-/// QueryService (thread pool, result cache, coalescing) labeled
-/// {shard="<i>",replica="<r>"} in the shared registry, behind its own
-/// resilience::ServiceClient (independent circuit breaker and retry budget).
+/// and copies each shard's slice once; the slices never change afterwards
+/// (the router has no write path), so a shard's R replicas share its slice.
+/// Each replica gets its own QueryService (thread pool, result cache,
+/// coalescing) labeled {shard="<i>",replica="<r>"} in the shared registry,
+/// behind its own resilience::ServiceClient (independent circuit breaker and
+/// retry budget).
 ///
 /// Routing: explicit-target requests go to their owning shard(s); kAllGraphs
 /// matches and suggestions fan out to every shard. Within a shard the
@@ -147,8 +148,8 @@ struct RouterStats {
 /// docs/sharding.md for the full state machine.
 ///
 /// Thread-safe, including Snapshot() at any time during traffic. The source
-/// database is only read during construction (each replica serves its own
-/// copy), so it does not need to outlive the router.
+/// database is only read during construction (the shards serve their own
+/// copies), so it does not need to outlive the router.
 class ShardedRouter {
  public:
   ShardedRouter(const GraphDatabase& db, ShardedRouterOptions options = {});
@@ -159,15 +160,6 @@ class ShardedRouter {
 
   /// Routes, scatters, gathers, and merges. Blocking; call from any thread.
   QueryResult Execute(QueryRequest request);
-
-  /// Routes the per-graph invalidation to every replica of the owning shard
-  /// (no replica may serve a stale epoch); the other shards'
-  /// whole-collection (kAllGraphs) cache entries survive, closing the
-  /// single-service limitation where any graph update evicted every
-  /// collection-scoped entry. Unknown ids are a no-op.
-  void InvalidateCacheKey(GraphId graph_id);
-  /// Full epoch bump on every replica of every shard.
-  void InvalidateCache();
 
   /// Safe to call at any time, including concurrently with Execute():
   /// per-leg bookkeeping and the snapshot read are ordered by a stats mutex,
@@ -251,9 +243,8 @@ class ShardedRouter {
   // here.
   obs::MetricsRegistry metrics_;
   ShardMap map_;
-  // Slot-indexed (shard * R + replica): each replica owns a full copy of its
-  // shard's slice.
-  std::vector<std::unique_ptr<GraphDatabase>> shard_dbs_;
+  // Shard-indexed: one read-only slice per shard, served by all R replicas.
+  std::vector<std::unique_ptr<const GraphDatabase>> shard_dbs_;
   std::vector<std::unique_ptr<QueryService>> shards_;
   std::vector<std::unique_ptr<resilience::ServiceClient>> clients_;
   resilience::RetryBudget hedge_budget_;

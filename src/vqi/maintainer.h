@@ -28,9 +28,9 @@ class VqiMaintainer {
                                          const LabelDictionary* dict = nullptr);
 
   /// Registers `listener` to run after every successfully applied batch,
-  /// once the database and panels reflect the update. Serving layers hook
-  /// their cache invalidation here (e.g. QueryService::InvalidateCache) so
-  /// maintenance can never leave stale match counts being served. Listeners
+  /// once the database and panels reflect the update. Listeners are not
+  /// needed for serving freshness: QueryService keys its cache by the
+  /// database's content versions, which the batch's edits move. Listeners
   /// run on the ApplyBatch caller's thread, in registration order; they must
   /// not call back into this maintainer.
   void AddBatchListener(std::function<void()> listener);

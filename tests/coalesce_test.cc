@@ -1,8 +1,8 @@
 // Tests for single-flight request coalescing: the burst-equals-sequential
 // property (one backend execution, N identical responses), fan-out policy for
 // leader errors and partial results, the retry budget on waiter re-execution,
-// mid-flight invalidation detach, waiter occupancy under priority shedding,
-// and a many-threads-few-keys stress run for the sanitizer presets.
+// waiter occupancy under priority shedding, and a many-threads-few-keys
+// stress run for the sanitizer presets.
 //
 // Concurrency is made deterministic with a "gate" request: on a single-worker
 // service a heavy deadline-bounded query occupies the worker for its full
@@ -185,7 +185,6 @@ TEST(CoalesceTest, BurstEqualsSequentialWithOneBackendExecution) {
   // Exactly two backend executions total: the gate and the burst leader.
   EXPECT_EQ(stats.backend_executions, 2u);
   EXPECT_EQ(stats.coalesce_fanout, static_cast<uint64_t>(kBurst - 1));
-  EXPECT_EQ(stats.coalesce_detached, 0u);
   EXPECT_EQ(stats.completed, stats.admitted);
   // Every fan-out recorded its attach-to-resolve wait.
   EXPECT_EQ(service.metrics()
@@ -396,57 +395,6 @@ TEST(CoalesceTest, ExhaustedBudgetPropagatesLeaderOutcome) {
   EXPECT_EQ(Counter(service, "vqi_coalesce_reexec_denied_total"), 1u);
 }
 
-TEST(CoalesceTest, MidFlightInvalidationDetachesWaiters) {
-  GraphDatabase db = MakeTestDatabase();
-  QueryResult expected = GroundTruth(db, EdgeBurstRequest());
-  ASSERT_TRUE(expected.status.ok());
-
-  QueryServiceOptions options;
-  options.num_threads = 1;
-  options.queue_capacity = 32;
-  options.cache_capacity = 64;  // on: detached re-runs must not serve stale
-  options.cache_shards = 1;
-  QueryService service(db, options);
-
-  auto gate = service.Submit(GateRequest(/*deadline_ms=*/400));
-  ASSERT_TRUE(gate.ok());
-  auto leader = service.Submit(EdgeBurstRequest());
-  ASSERT_TRUE(leader.ok());
-  std::vector<std::future<QueryResult>> waiters;
-  for (int i = 0; i < 2; ++i) {
-    auto submitted = service.Submit(EdgeBurstRequest());
-    ASSERT_TRUE(submitted.ok());
-    waiters.push_back(std::move(submitted).value());
-  }
-
-  // The burst targets graph 0, and this bumps graph 0's epoch while the
-  // leader is still parked behind the gate: at fan-out every waiter's
-  // recomputed key differs from the entry key, so both detach.
-  service.InvalidateCacheKey(0);
-
-  QueryResult leader_result = leader.value().get();
-  ASSERT_TRUE(leader_result.status.ok());
-  for (auto& future : waiters) {
-    QueryResult result = future.get();
-    ASSERT_TRUE(result.status.ok()) << result.status.ToString();
-    EXPECT_EQ(result.embedding_count, expected.embedding_count);
-    EXPECT_FALSE(result.coalesced);  // re-executed, not fanned out
-  }
-  gate.value().get();
-
-  ServiceStats stats = service.Snapshot();
-  EXPECT_EQ(stats.coalesce_detached, 2u);
-  EXPECT_EQ(stats.coalesce_fanout, 0u);
-  // Detach re-execution is exempt from the retry budget.
-  EXPECT_EQ(Counter(service, "vqi_coalesce_reexec_total"), 2u);
-  EXPECT_EQ(Counter(service, "vqi_coalesce_reexec_denied_total"), 0u);
-  // The first re-run repopulated the post-invalidation key; the second was
-  // rescued by the dequeue-time probe, so the backend ran gate + leader +
-  // one re-execution.
-  EXPECT_EQ(stats.backend_executions, 3u);
-  EXPECT_TRUE(service.Execute(EdgeBurstRequest()).from_cache);
-}
-
 TEST(CoalesceTest, WaitersCountAsQueueOccupancyForShedding) {
   GraphDatabase db = MakeTestDatabase();
 
@@ -498,9 +446,9 @@ TEST(CoalesceTest, WaitersCountAsQueueOccupancyForShedding) {
 }
 
 // Sanitizer stress: many submitter threads hammering four keys on a small
-// pool, with cache invalidations racing mid-flight. Asserts liveness (every
-// future resolves), correctness of every OK answer against sequential ground
-// truth, and the coalescing accounting invariants.
+// pool. Asserts liveness (every future resolves), correctness of every OK
+// answer against sequential ground truth, and the coalescing accounting
+// invariants.
 TEST(CoalesceStressTest, ManyThreadsFewKeysResolveCorrectly) {
   GraphDatabase db = MakeTestDatabase();
 
@@ -544,11 +492,6 @@ TEST(CoalesceStressTest, ManyThreadsFewKeysResolveCorrectly) {
         if (submitted.ok()) {
           results[t].emplace_back(pick, std::move(submitted).value());
         }
-        // Racing invalidations force mid-flight detaches; the data never
-        // changes, so answers must not either.
-        if (t == 0 && i % 16 == 0) {
-          service.InvalidateCacheKey(static_cast<GraphId>(i % 3));
-        }
       }
     });
   }
@@ -575,14 +518,12 @@ TEST(CoalesceStressTest, ManyThreadsFewKeysResolveCorrectly) {
   EXPECT_EQ(stats.completed, stats.admitted);
   EXPECT_LE(stats.backend_executions, stats.admitted);
   // Each attached waiter resolved through at most one of: fan-out,
-  // re-execution (detaches route through it too), budget denial — or an
-  // aborted lead, which is the only path outside these counters.
+  // re-execution, budget denial — or an aborted lead, which is the only path
+  // outside these counters.
   EXPECT_LE(stats.coalesce_fanout +
                 Counter(service, "vqi_coalesce_reexec_total") +
                 Counter(service, "vqi_coalesce_reexec_denied_total"),
             stats.coalesce_waiters);
-  EXPECT_GE(Counter(service, "vqi_coalesce_reexec_total"),
-            stats.coalesce_detached);
 }
 
 TEST(InflightTableTest, FanoutResolvesWaitersWithTableLockReleased) {

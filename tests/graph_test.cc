@@ -247,6 +247,39 @@ TEST(GraphDatabaseTest, CopiesEditingTheSameIdGetDistinctVersions) {
   EXPECT_NE(b.ContentVersion(x), 0u);
 }
 
+// Version() names the whole collection's content: every edit moves it, a
+// failed Remove (no edit) does not, and copies that diverge never share one.
+TEST(GraphDatabaseTest, VersionMovesOnEveryEditAndNeverRepeatsAcrossCopies) {
+  GraphDatabase a;
+  EXPECT_EQ(a.Version(), 0u);
+
+  const GraphId x = a.Add(builder::Path(3));
+  const uint64_t after_add = a.Version();
+  EXPECT_NE(after_add, 0u);
+  EXPECT_EQ(after_add, a.ContentVersion(x));
+  const GraphId y = a.Add(builder::Triangle());
+  const uint64_t after_second_add = a.Version();
+  EXPECT_NE(after_second_add, after_add);
+  ASSERT_TRUE(a.Remove(x));
+  const uint64_t after_remove = a.Version();
+  EXPECT_NE(after_remove, after_second_add);
+  EXPECT_NE(after_remove, after_add);
+  EXPECT_FALSE(a.Remove(x));
+  EXPECT_FALSE(a.Remove(12345));
+  EXPECT_EQ(a.Version(), after_remove);
+
+  GraphDatabase b = a;
+  EXPECT_EQ(b.Version(), a.Version());
+  ASSERT_TRUE(a.Remove(y));
+  ASSERT_TRUE(b.Remove(y));
+  EXPECT_NE(a.Version(), b.Version());
+  a.Add(builder::Path(4));
+  b.Add(builder::Path(4));
+  EXPECT_NE(a.Version(), b.Version());
+  EXPECT_NE(a.Version(), after_remove);
+  EXPECT_NE(b.Version(), after_remove);
+}
+
 TEST(DatabaseTest, LabelStats) {
   GraphDatabase db;
   db.Add(builder::SingleEdge(1, 2, 9));

@@ -207,8 +207,6 @@ TEST(ShardedRouterTest, UnknownTargetIsNotFound) {
   QueryRequest set = MatchAll(SingleVertexPattern(0));
   set.targets = {0, 12345};
   EXPECT_EQ(router.Execute(set).status.code(), StatusCode::kNotFound);
-  // Invalidating an unknown id is a no-op, not a crash.
-  router.InvalidateCacheKey(12345);
 }
 
 // ---------------------------------------------------------------------------
@@ -562,29 +560,6 @@ TEST(ReplicatedRouterTest, AllReplicasDownIsCountedAndFails) {
   EXPECT_GE(stats.all_replicas_down, 1u);
   EXPECT_GT(stats.replica_errors[0][0], 0u);
   EXPECT_GT(stats.replica_errors[0][1], 0u);
-}
-
-// InvalidateCacheKey must reach EVERY replica of the owner shard: a read
-// balanced onto an unbumped sibling would otherwise serve stale results.
-TEST(ReplicatedRouterTest, InvalidateCacheKeyFansOutToAllReplicas) {
-  GraphDatabase db = MakeMolecules(8);
-  ShardedRouterOptions options;
-  options.num_shards = 1;
-  options.num_replicas = 2;
-  options.shard_options.cache_capacity = 64;
-  ShardedRouter router(db, options);
-  QueryRequest request = MatchAll(SingleVertexPattern(0));
-  for (size_t r = 0; r < 2; ++r) {
-    ASSERT_TRUE(router.shard(0, r).Execute(request).status.ok());
-    EXPECT_TRUE(router.shard(0, r).Execute(request).from_cache)
-        << "replica " << r;
-  }
-  router.InvalidateCacheKey(0);
-  for (size_t r = 0; r < 2; ++r) {
-    QueryResult after = router.shard(0, r).Execute(request);
-    ASSERT_TRUE(after.status.ok());
-    EXPECT_FALSE(after.from_cache) << "replica " << r << " served stale";
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -4,9 +4,13 @@ Two catalogs rot silently today:
 
   * docs/observability.md promises to list every exported instrument, but
     nothing cross-checks it — a new `vqi_*` literal in src/ ships with no
-    documentation. Rule `metric-catalog`: every `"vqi_..."` string literal
-    in src/ must appear (as a substring, so concatenation prefixes like
-    "vqi_cache" count against the full names built from them) in the doc.
+    documentation, and a deleted instrument's row survives silently. Rule
+    `metric-catalog` checks both ways: every `"vqi_..."` string literal in
+    src/ must appear (as a substring, so concatenation prefixes like
+    "vqi_cache" count against the full names built from them) in the doc,
+    and every name in the first cell of a catalog table row (label braces
+    stripped) must be spelled in src/, by one literal or by a prefix
+    literal plus a suffix literal ("vqi_cache" + "_hits_total").
 
   * CMakePresets.json gates the tsan/asan/ubsan presets on a label regex;
     a new concurrency-heavy test suite that is not matched by the regex
@@ -25,6 +29,8 @@ VQI_ADD_TEST_RE = re.compile(r"vqi_add_test\(\s*(\w+)([^)]*)\)")
 ADD_EXECUTABLE_RE = re.compile(r"add_executable\(\s*(\w+)")
 LINK_RE = re.compile(r"target_link_libraries\(\s*(\w+)([^)]*)\)")
 LABELS_RE = re.compile(r'gtest_discover_tests\(\s*(\w+)[^)]*LABELS\s+"([^"]+)"')
+CODE_SPAN_RE = re.compile(r"`([^`]+)`")
+CATALOG_NAME_RE = re.compile(r"vqi_[a-z0-9_]+")
 
 RULE_METRIC = "metric-catalog"
 RULE_GATING = "sanitizer-gating"
@@ -47,6 +53,20 @@ def harvest_tests(cmake_text):
         if name in tests:
             tests[name] = (tests[name][0] | labels, tests[name][1])
     return tests
+
+
+def catalog_names(doc_text):
+    """(line, name) of every instrument named in a catalog table's first
+    cell, label braces stripped."""
+    names = []
+    for lineno, line in enumerate(doc_text.splitlines(), start=1):
+        if not line.startswith("|"):
+            continue
+        for span in CODE_SPAN_RE.findall(line.split("|")[1]):
+            name = re.sub(r"\{[^}]*\}", "", span).strip()
+            if CATALOG_NAME_RE.fullmatch(name):
+                names.append((lineno, name))
+    return names
 
 
 def sanitizer_filters(presets_json):
@@ -76,11 +96,13 @@ def run(root, files, doc_rel="docs/observability.md",
     metrics = {}
     if doc_text is not None:
         seen = {}
+        suffixes = set()
         for rel, facts in sorted(files.items()):
             if not rel.startswith("src/"):
                 continue
             for line, name in facts.metric_literals:
                 seen.setdefault(name, (rel, line))
+            suffixes.update(facts.suffix_literals)
         for name, (rel, line) in sorted(seen.items()):
             documented = name in doc_text
             metrics[name] = documented
@@ -91,6 +113,17 @@ def run(root, files, doc_rel="docs/observability.md",
                                f"in {doc_rel}; every exported instrument "
                                "family must appear in the catalog",
                 })
+        for line, name in catalog_names(doc_text):
+            if name in seen or any(name.startswith(prefix) and
+                                   name[len(prefix):] in suffixes
+                                   for prefix in seen):
+                continue
+            diagnostics.append({
+                "rel": doc_rel, "line": line, "rule": RULE_METRIC,
+                "message": f"catalog row `{name}` names no instrument: no "
+                           "src/ literal (or prefix + suffix literal pair) "
+                           "spells it; delete the row with the instrument",
+            })
 
     gating = {}
     try:

@@ -43,6 +43,9 @@ WAIT_RE = re.compile(r"([A-Za-z_][\w\[\]\(\)\.]*(?:->)?[\w\[\]\(\)\.]*?)\s*(?:\.
 CALL_RE = re.compile(r"\b([A-Za-z_]\w*)\s*\(")
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"([^"]+)"')
 METRIC_LITERAL_RE = re.compile(r'"(vqi_[a-z_]+)"')
+# Name suffixes appended to a metric prefix literal ("vqi_cache" +
+# "_hits_total").
+SUFFIX_LITERAL_RE = re.compile(r'"(_[a-z][a-z_]*)"')
 WAIVER_RE = re.compile(r"//\s*vqi-analyze:\s*allow\(([a-z][a-z0-9-]*)\)\s*(.*)$")
 REQUIRES_RE = re.compile(r"\bVQLIB_REQUIRES\s*\(([^)]*)\)")
 MUTEX_MEMBER_RE = re.compile(
@@ -232,6 +235,7 @@ class FileFacts:
         self.functions = []        # FunctionFacts (top-level and lambdas)
         self.includes = []         # (line, target)
         self.metric_literals = []  # (line, name)
+        self.suffix_literals = []  # "_suffix" names
         self.waivers = {}          # line -> (rule, justification)
         self.raw_line_count = 0
 
@@ -381,6 +385,8 @@ class FileScanner:
                 self.facts.includes.append((lineno, m.group(1)))
             for lit in METRIC_LITERAL_RE.finditer(raw):
                 self.facts.metric_literals.append((lineno, lit.group(1)))
+            for lit in SUFFIX_LITERAL_RE.finditer(raw):
+                self.facts.suffix_literals.append(lit.group(1))
 
         in_directive = False
         for lineno, line in enumerate(self.code_lines, start=1):

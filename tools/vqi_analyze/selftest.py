@@ -161,13 +161,16 @@ class Waiter {
 #pragma once
 #include "bare_impl.h"
 """,
-    # metric-catalog: one documented literal, one that drifted.
+    # metric-catalog: one documented literal, one that drifted, and a name
+    # built from a prefix and a suffix literal; in the doc, a stale row that
+    # no literal spells.
     "src/service/metrics_user.cc": """\
 #include "service/metrics_user.h"
 namespace vqi {
-void Register(MetricRegistry& r) {
+void Register(MetricRegistry& r, const std::string& prefix = "vqi_pair") {
   r.GetCounter("vqi_good_total", "documented");
   r.GetCounter("vqi_bogus_total", "not documented");
+  r.GetCounter(prefix + "_hits_total", "built from two literals");
 }
 }  // namespace vqi
 """,
@@ -177,6 +180,8 @@ void Register(MetricRegistry& r) {
 | name | kind |
 |------|------|
 | `vqi_good_total` | counter |
+| `vqi_pair_hits_total{cache_shard=N}` | counter |
+| `vqi_stale_total` | counter |
 """,
     # sanitizer-gating: foo_test links vqi_service but no preset label
     # regex matches it; service_test is gated by every preset (clean).
@@ -209,7 +214,8 @@ PLANTED = {
     "layer-allowlist": ("src/net/wire.h", "src/shard/router.h"),
     "layer-unknown": ("src/widgets/widget.h", "src/common/bare.h"),
     "include-cycle": ("src/graph/a.h",),
-    "metric-catalog": ("src/service/metrics_user.cc",),
+    "metric-catalog": ("src/service/metrics_user.cc",
+                       "docs/observability.md"),
     "sanitizer-gating": ("tests/CMakeLists.txt",),
     "unused-waiver": ("src/service/blocker.h",),
 }
@@ -274,6 +280,12 @@ def run():
         check(all("vqi_good_total" not in d["message"]
                   for d in by_rule.get("metric-catalog", [])),
               "documented metric literal is not flagged")
+        check(any("vqi_stale_total" in d["message"]
+                  for d in by_rule.get("metric-catalog", [])),
+              "catalog row no literal spells is flagged")
+        check(all("vqi_pair" not in d["message"]
+                  for d in by_rule.get("metric-catalog", [])),
+              "prefix + suffix literal pair resolves its catalog row")
         check(all("`service_test`" not in d["message"]
                   and "`pure_test`" not in d["message"]
                   for d in by_rule.get("sanitizer-gating", [])),

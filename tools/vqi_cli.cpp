@@ -1591,12 +1591,10 @@ int ServeBench(int argc, char** argv) {
                   : static_cast<double>(stats.backend_executions) /
                         static_cast<double>(stats.admitted));
   if (coalesce) {
-    std::printf("coalesce:    %llu leaders, %llu waiters, %llu fanned out, "
-                "%llu detached\n",
+    std::printf("coalesce:    %llu leaders, %llu waiters, %llu fanned out\n",
                 static_cast<unsigned long long>(stats.coalesce_leaders),
                 static_cast<unsigned long long>(stats.coalesce_waiters),
-                static_cast<unsigned long long>(stats.coalesce_fanout),
-                static_cast<unsigned long long>(stats.coalesce_detached));
+                static_cast<unsigned long long>(stats.coalesce_fanout));
   }
   if (injector.has_value()) {
     // Resilience summary: what the chaos layer injected and how the client
