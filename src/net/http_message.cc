@@ -2,6 +2,8 @@
 
 #include <cctype>
 
+#include "net/json.h"
+
 namespace vqi {
 namespace net {
 namespace {
@@ -25,6 +27,15 @@ std::string_view FindHeader(const HttpHeaders& headers,
     if (EqualsIgnoreCase(key, name)) return value;
   }
   return {};
+}
+
+std::string JsonErrorBody(const Status& status) {
+  JsonValue error = JsonValue::Object();
+  error.Set("code", JsonValue::String(StatusCodeToString(status.code())));
+  error.Set("message", JsonValue::String(status.message()));
+  JsonValue body = JsonValue::Object();
+  body.Set("error", std::move(error));
+  return body.Dump();
 }
 
 std::string_view HttpRequest::path() const {

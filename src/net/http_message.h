@@ -6,6 +6,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/status.h"
+
 namespace vqi {
 namespace net {
 
@@ -44,6 +46,11 @@ struct HttpResponse {
 
 /// Canonical reason phrase for `status` ("OK", "Bad Request", ...).
 const char* HttpReasonPhrase(int status);
+
+/// The body of every JSON error reply, from the server and the handlers
+/// alike: {"error": {"code", "message"}}, where the code is
+/// StatusCodeToString(status.code()).
+std::string JsonErrorBody(const Status& status);
 
 /// Serializes `response` with Content-Length framing. `close` controls the
 /// Connection header (close vs keep-alive).

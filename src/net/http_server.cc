@@ -15,16 +15,10 @@
 
 #include "common/logging.h"
 #include "common/stopwatch.h"
-#include "net/json.h"
 
 namespace vqi {
 namespace net {
 namespace {
-
-/// JSON error body the server sends for requests the handler never sees.
-std::string ErrorBody(const std::string& message) {
-  return "{\"error\":" + JsonEscape(message) + "}";
-}
 
 ThreadPoolOptions ConnectionPoolOptions(const HttpServerOptions& options) {
   ThreadPoolOptions pool;
@@ -227,7 +221,8 @@ void HttpServer::AcceptLoop() {
       // misses its 503.
       HttpResponse response;
       response.status = 503;
-      response.body = ErrorBody("server overloaded, connection rejected");
+      response.body = JsonErrorBody(
+          Status::Unavailable("server overloaded, connection rejected"));
       std::string wire = SerializeResponse(response, /*close=*/true);
       (void)::send(fd, wire.data(), wire.size(),
                    MSG_NOSIGNAL | MSG_DONTWAIT);
@@ -287,7 +282,7 @@ bool HttpServer::ServeOne(int fd, HttpRequestParser& parser, size_t served) {
     if (!decision.status.ok()) {
       HttpResponse response;
       response.status = 503;
-      response.body = ErrorBody(decision.status.message());
+      response.body = JsonErrorBody(decision.status);
       WriteResponse(fd, response, /*close=*/true);
       return false;
     }
@@ -320,7 +315,8 @@ bool HttpServer::ServeOne(int fd, HttpRequestParser& parser, size_t served) {
         // idle keep-alive connection just closes.
         HttpResponse response;
         response.status = 408;
-        response.body = ErrorBody("read deadline exceeded");
+        response.body =
+            JsonErrorBody(Status::DeadlineExceeded("read deadline exceeded"));
         WriteResponse(fd, response, /*close=*/true);
       }
       return false;
@@ -353,7 +349,7 @@ bool HttpServer::ServeOne(int fd, HttpRequestParser& parser, size_t served) {
     if (parse_errors_total_ != nullptr) parse_errors_total_->Increment();
     HttpResponse response;
     response.status = parser.error_status();
-    response.body = ErrorBody(parser.error());
+    response.body = JsonErrorBody(Status::InvalidArgument(parser.error()));
     WriteResponse(fd, response, /*close=*/true);
     return false;
   }

@@ -68,7 +68,7 @@ struct HttpServerOptions {
 ///
 /// The handler runs on connection workers and must be thread-safe. Errors
 /// the parser detects (malformed, oversized, torn input) never reach the
-/// handler — the server answers 4xx/5xx itself.
+/// handler — the server answers 4xx/5xx itself, with JsonErrorBody.
 ///
 /// Thread-safe. Start() may be called once; Shutdown() is idempotent and
 /// also runs in the destructor.

@@ -261,14 +261,9 @@ int HttpStatusFor(const Status& status) {
 }
 
 HttpResponse JsonErrorResponse(const Status& status) {
-  JsonValue error = JsonValue::Object();
-  error.Set("code", JsonValue::String(StatusCodeToString(status.code())));
-  error.Set("message", JsonValue::String(status.message()));
-  JsonValue body = JsonValue::Object();
-  body.Set("error", std::move(error));
   HttpResponse response;
   response.status = HttpStatusFor(status);
-  response.body = body.Dump();
+  response.body = JsonErrorBody(status);
   return response;
 }
 
@@ -276,11 +271,7 @@ QueryServing::QueryServing(QueryService* service, Options options)
     : service_(service), options_(options) {}
 
 QueryServing::QueryServing(shard::ShardedRouter* router, Options options)
-    : router_(router), options_(options) {
-  // The router already wraps each shard in its own resilience client;
-  // layering another client in front would double-count retries.
-  options_.client = nullptr;
-}
+    : router_(router), options_(options) {}
 
 HttpResponse QueryServing::Handle(const HttpRequest& request) {
   const std::string path(request.path());
@@ -379,10 +370,6 @@ HttpResponse QueryServing::HandleHealthz() {
       breakers.Append(std::move(replica_breakers));
     }
     json.Set("shard_breakers", std::move(breakers));
-  } else if (options_.client != nullptr) {
-    json.Set("breaker",
-             JsonValue::String(resilience::BreakerStateName(
-                 options_.client->breaker_state())));
   }
   HttpResponse response;
   // A draining server answers health checks (so orchestrators see the state
@@ -402,11 +389,9 @@ HttpResponse QueryServing::HandleQuery(const HttpRequest& request) {
   if (!decoded.ok()) {
     return JsonErrorResponse(decoded.status());
   }
-  QueryResult result =
-      router_ != nullptr ? router_->Execute(std::move(decoded).value())
-      : options_.client != nullptr
-          ? options_.client->Execute(std::move(decoded).value())
-          : service_->Execute(std::move(decoded).value());
+  QueryResult result = router_ != nullptr
+                           ? router_->Execute(std::move(decoded).value())
+                           : service_->Execute(std::move(decoded).value());
   HttpResponse response;
   response.status = HttpStatusFor(result.status);
   response.body = QueryResultToJson(result).Dump();

@@ -7,7 +7,6 @@
 #include "net/http_message.h"
 #include "net/json.h"
 #include "service/query_service.h"
-#include "service/resilience/service_client.h"
 
 namespace vqi {
 
@@ -69,21 +68,16 @@ int HttpStatusFor(const Status& status);
 /// on server worker threads; QueryServing itself is stateless beyond the
 /// wired components, so it is thread-safe if they are.
 ///
-/// Can front either one QueryService (optionally through a resilience
-/// client) or a shard::ShardedRouter. In router mode /query executes through
-/// the router (which already runs each shard behind its own client) and
-/// /healthz aggregates saturation across the fleet: summed queue depths and
-/// capacities, summed shard ServiceStats, `shards` and `replicas` counts,
-/// and every replica's breaker state (`shard_breakers`: a flat array when
-/// R = 1, one nested array per shard when the fleet is replicated).
+/// Can front either one QueryService or a shard::ShardedRouter. In router
+/// mode /query executes through the router (which runs each replica behind
+/// its own resilience client) and /healthz aggregates saturation across the
+/// fleet: summed queue depths and capacities, summed shard ServiceStats,
+/// `shards` and `replicas` counts, and every replica's breaker state
+/// (`shard_breakers`: a flat array when R = 1, one nested array per shard
+/// when the fleet is replicated).
 class QueryServing {
  public:
   struct Options {
-    /// When set, /query executes through the resilience client (breaker +
-    /// retry + budget) instead of calling the service directly, and /healthz
-    /// reports the breaker state. Must wrap `service` and outlive this.
-    /// Ignored in router mode.
-    resilience::ServiceClient* client = nullptr;
     /// Registry /metrics renders. Typically the same registry every wired
     /// component reports into. Must outlive this.
     obs::MetricsRegistry* metrics = nullptr;
@@ -112,8 +106,8 @@ class QueryServing {
   const HttpServer* server_ = nullptr;
 };
 
-/// JSON error body {"error": {"code", "message"}} with HttpStatusFor's
-/// HTTP status; every non-OK reply QueryServing produces goes through this.
+/// JsonErrorBody with HttpStatusFor's HTTP status; every non-OK reply
+/// QueryServing produces goes through this.
 HttpResponse JsonErrorResponse(const Status& status);
 
 }  // namespace net

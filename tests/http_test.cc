@@ -435,6 +435,72 @@ TEST(HttpSocketTest, MalformedRequestGets400AndClose) {
   EXPECT_NE(raw.find("Connection: close"), std::string::npos);
 }
 
+// Replies the server writes itself, for requests the handler never sees,
+// keep the documented error shape: {"error": {"code", "message"}}.
+void ExpectErrorBody(const std::string& body, const std::string& code) {
+  auto json = ParseJson(body);
+  ASSERT_TRUE(json.ok()) << body;
+  ASSERT_TRUE(json.value().is_object()) << body;
+  const JsonValue* error = json.value().Find("error");
+  ASSERT_NE(error, nullptr) << body;
+  ASSERT_TRUE(error->is_object()) << body;
+  const JsonValue* error_code = error->Find("code");
+  const JsonValue* message = error->Find("message");
+  ASSERT_TRUE(error_code != nullptr && error_code->is_string()) << body;
+  ASSERT_TRUE(message != nullptr && message->is_string()) << body;
+  EXPECT_EQ(error_code->string_value(), code);
+  EXPECT_FALSE(message->string_value().empty());
+}
+
+std::string RawBody(const std::string& raw) {
+  size_t end_of_headers = raw.find("\r\n\r\n");
+  return end_of_headers == std::string::npos ? ""
+                                             : raw.substr(end_of_headers + 4);
+}
+
+TEST(HttpSocketTest, MalformedRequestReplyHasTheErrorShape) {
+  ServingHarness harness;
+  ASSERT_TRUE(harness.server.Start().ok());
+  HttpClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", harness.server.port()).ok());
+  ASSERT_TRUE(client.SendRaw("NONSENSE\r\n\r\n").ok());
+  std::string raw = client.ReadAvailable(2000);
+  ASSERT_NE(raw.find("400 Bad Request"), std::string::npos);
+  ExpectErrorBody(RawBody(raw), "InvalidArgument");
+}
+
+TEST(HttpSocketTest, ReadDeadlineReplyHasTheErrorShape) {
+  HttpServerOptions options;
+  options.read_timeout_ms = 100;
+  ServingHarness harness(options);
+  ASSERT_TRUE(harness.server.Start().ok());
+  HttpClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", harness.server.port()).ok());
+  ASSERT_TRUE(client.SendRaw("GET /healthz HTT").ok());
+  std::string raw = client.ReadAvailable(3000);
+  ASSERT_NE(raw.find("408 "), std::string::npos);
+  ExpectErrorBody(RawBody(raw), "DeadlineExceeded");
+}
+
+TEST(HttpSocketTest, InjectedReadErrorCarriesTheInjectorsCode) {
+  FaultPlan plan;
+  plan.seed = 11;
+  plan.At(FaultPoint::kHttpRead).error_p = 1.0;
+  plan.At(FaultPoint::kHttpRead).error_code = StatusCode::kInternal;
+  FaultInjector injector(plan);
+  HttpServerOptions options;
+  options.fault_injector = &injector;
+  ServingHarness harness(options);
+  ASSERT_TRUE(harness.server.Start().ok());
+  HttpClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", harness.server.port()).ok());
+  auto response = client.Roundtrip("GET", "/healthz");
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(response.value().status, 503);
+  ExpectErrorBody(response.value().body, "Internal");
+  EXPECT_EQ(injector.InjectedErrors(FaultPoint::kHttpRead), 1u);
+}
+
 TEST(HttpSocketTest, HeaderOverflowGets431) {
   HttpServerOptions options;
   options.parser_limits.max_header_count = 4;

@@ -1,75 +1,40 @@
 // vqi_cli — command-line front end for the library's end-to-end workflows:
 // generate data, build a data-driven VQI, inspect/serialize it, export
-// patterns to Graphviz, and run the simulated usability study.
+// patterns to Graphviz, run the simulated usability study, and serve the
+// collection (`serve`) or replay a query workload against it
+// (`serve-bench`). Usage() lists the commands and their flags.
 //
-//   vqi_cli gen-molecules <count> <seed> <out.lg>
-//   vqi_cli gen-network   <n> <m> <seed> <out.lg>
-//   vqi_cli build-db      <in.lg> <out.vqi> [budget]
-//   vqi_cli build-net     <in.lg> <out.vqi> [budget]
-//   vqi_cli show          <file.vqi>
-//   vqi_cli export-dot    <file.vqi> <out.dot>
-//   vqi_cli suggest       <in.lg> <vertex-label> [k]
-//   vqi_cli usability     <in.lg> <file.vqi> [queries]
-//   vqi_cli serve-bench   <in.lg> [queries] [threads] [repeat]
-//                         [--clients=N] [--threads=N] [--deadline-ms=X]
-//                         [--dup-ratio=X] [--coalesce] [--cache=N]
-//                         [--chaos=<spec>] [--metrics-out=<file>]
-//                         (replay a generated query workload through the
-//                         concurrent QueryService and print serving stats;
-//                         --clients runs N submitter threads, --deadline-ms
-//                         puts a budget on every request, --dup-ratio=X
-//                         expands the workload so a fraction X of requests
-//                         are in-flight duplicates, --coalesce turns on
-//                         single-flight request coalescing (off by default
-//                         here for A/B comparison; the library default is
-//                         on), --cache=N sets result-cache capacity (0 =
-//                         off), --chaos injects faults per the spec grammar
-//                         of docs/resilience.md and drives the load through
-//                         resilient ServiceClients, --metrics-out writes a
-//                         Prometheus-text metrics snapshot)
-//   vqi_cli metrics-demo  (serve a small in-memory workload and dump the
-//                         observability surface: Prometheus text, JSON,
-//                         recent request traces)
-//   vqi_cli serve         <in.lg> [--port=N] [--threads=N] [--cache=N]
-//                         [--shards=N] [--hedge-ms=X] [--chaos-shard=K]
-//                         [--chaos=<spec>] [--smoke]
-//                         (serve the collection over HTTP: GET /metrics,
-//                         GET /healthz, POST /query; SIGINT/SIGTERM drains
-//                         gracefully. --shards=N fronts a ShardedRouter over
-//                         N QueryService shards — /metrics then carries
-//                         per-shard series and /healthz the fleet view —
-//                         and --hedge-ms arms hedged requests; --chaos arms
-//                         the http_read fault point for slowloris/torn-read
-//                         injection (with --shards, service-level chaos
-//                         lands on shard --chaos-shard only); --smoke drives
-//                         one request through each endpoint over a real
-//                         loopback socket and exits — the hermetic CI check)
-//
-// serve-bench additionally accepts --http: run the workload twice — directly
-// against the in-process QueryService, then through real loopback sockets
-// with --clients keep-alive HTTP connections — and report the wire overhead
-// plus a byte-identity check of the result content (EXPERIMENTS.md E17).
-// With --chaos the injector arms only the server's http_read point and the
-// report becomes availability under slowloris-style faults.
-// With --shards=N it instead replays the workload through a ShardedRouter
-// (EXPERIMENTS.md E18): merged results are checked byte-identical against a
-// single-service reference, --hedge-ms reports hedging effectiveness, and
-// --chaos targets shard --chaos-shard only, showing per-shard blast-radius
-// containment.
+// `serve` and `serve-bench` share one flag parser and one serving stack:
+// one QueryService, or a ShardedRouter over shards x replicas, with the
+// --chaos fault plan armed on the service or on one chosen replica, and
+// optionally a loopback HTTP front that arms the same plan's http_read
+// point. `serve` puts the front on a real port; `serve-bench` drives the
+// stack through one client loop whatever the layer: every client gets a
+// start function for its layer that returns a future answer. Only
+// QueryService::Submit answers asynchronously or refuses (backpressure), so
+// a plain in-process replay is pipelined with retry-after-drain; the
+// resilient ServiceClients of an in-process chaos run, the router and HTTP
+// answer inside the call, so their clients run closed loops. Every answer
+// lands in one tally, and without chaos or a deadline each one is checked
+// byte for byte against one unsharded, uncached QueryService. --http runs
+// the loop twice, in-process on a twin stack and then over HTTP, and
+// reports the difference as the wire's cost (EXPERIMENTS.md E14c-E19).
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
+#include <functional>
 #include <future>
 #include <limits>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/stopwatch.h"
@@ -348,107 +313,253 @@ int Usability(int argc, char** argv) {
   return 0;
 }
 
-// One serve-bench submitter thread's outcome. `attempts` counts Submit calls
-// (admitted + rejected), so rejected/attempts is the client's reject rate.
-struct ClientOutcome {
-  uint64_t attempts = 0;
-  uint64_t rejected = 0;
-  uint64_t completed = 0;
-};
+// ---------------------------------------------------------------------------
+// serve and serve-bench: one flag parser, one stack, one client loop.
 
-// One chaos-mode client's result-status tally.
-struct ChaosOutcome {
-  uint64_t ok = 0;
-  uint64_t truncated = 0;  // subset of ok when allow_partial is set
-  uint64_t unavailable = 0;
-  uint64_t internal_error = 0;
-  uint64_t deadline_exceeded = 0;
-  uint64_t other = 0;
-
-  uint64_t total() const {
-    return ok + unavailable + internal_error + deadline_exceeded + other;
+// True when `arg` is `<name>=<value>`; stores the value, which may be empty.
+bool FlagValue(const std::string& arg, std::string_view name,
+               std::string* value) {
+  if (arg.size() <= name.size() || arg.compare(0, name.size(), name) != 0 ||
+      arg[name.size()] != '=') {
+    return false;
   }
-};
-
-// Chaos-mode bench client: drives its share of the workload through a
-// resilient ServiceClient (breaker + budgeted retries) instead of raw Submit,
-// and tallies final statuses. With a deadline set, requests opt into partial
-// results, so deadline expiries surface as truncated OK answers.
-void RunChaosClient(resilience::ServiceClient& client,
-                    const std::vector<Graph>& queries, size_t repeat,
-                    size_t client_id, size_t num_clients, double deadline_ms,
-                    ChaosOutcome* outcome) {
-  for (size_t round = 0; round < repeat; ++round) {
-    for (size_t qi = client_id; qi < queries.size(); qi += num_clients) {
-      QueryRequest request;
-      request.pattern = queries[qi];
-      request.max_embeddings = 2000;
-      request.deadline_ms = deadline_ms;
-      request.allow_partial = deadline_ms > 0;
-      request.priority = static_cast<RequestPriority>(qi % 3);
-      QueryResult result = client.Execute(std::move(request));
-      if (result.truncated) ++outcome->truncated;
-      switch (result.status.code()) {
-        case StatusCode::kOk:
-          ++outcome->ok;
-          break;
-        case StatusCode::kUnavailable:
-          ++outcome->unavailable;
-          break;
-        case StatusCode::kInternal:
-          ++outcome->internal_error;
-          break;
-        case StatusCode::kDeadlineExceeded:
-          ++outcome->deadline_exceeded;
-          break;
-        default:
-          ++outcome->other;
-          break;
-      }
-    }
-  }
+  *value = arg.substr(name.size() + 1);
+  return true;
 }
 
-// Replays this client's share of the workload (queries striped across
-// clients). On kUnavailable the client waits for its own oldest outstanding
-// request, then retries — the retry-after-drain loop a well-behaved caller
-// runs under backpressure. A barrier between rounds models users re-issuing
-// popular queries after earlier answers came back.
-void RunBenchClient(QueryService& service, const std::vector<Graph>& queries,
-                    size_t repeat, size_t client_id, size_t num_clients,
-                    double deadline_ms, ClientOutcome* outcome) {
-  std::vector<std::future<QueryResult>> futures;
-  size_t next_wait = 0;
-  for (size_t round = 0; round < repeat; ++round) {
-    for (size_t qi = client_id; qi < queries.size(); qi += num_clients) {
-      QueryRequest request;
-      request.pattern = queries[qi];
-      request.max_embeddings = 2000;
-      request.deadline_ms = deadline_ms;
-      for (;;) {
-        ++outcome->attempts;
-        auto submitted = service.Submit(request);
-        if (submitted.ok()) {
-          futures.push_back(std::move(submitted).value());
-          break;
-        }
-        ++outcome->rejected;
-        if (next_wait < futures.size()) {
-          futures[next_wait++].get();
-        } else {
-          std::this_thread::yield();
-        }
-      }
-    }
-    for (; next_wait < futures.size(); ++next_wait) futures[next_wait].get();
+// The flags `serve` and `serve-bench` share: the shape of the serving stack
+// and the chaos armed on it.
+struct StackFlags {
+  int64_t threads = 4;
+  bool threads_set = false;
+  int64_t cache = 1024;
+  int64_t shards = 1;
+  int64_t replicas = 1;
+  std::optional<double> hedge_ms;
+  std::optional<double> gather_slack_ms;
+  std::string chaos;  // the --chaos spec as given
+  std::optional<resilience::FaultPlan> chaos_plan;
+  int64_t chaos_shard = 0;
+  int64_t chaos_replica = 0;
+
+  bool routed() const { return shards > 1 || replicas > 1; }
+};
+
+// Parses `arg` into `flags` when it is a stack flag: nullopt for any other
+// argument, else the status of parsing its value.
+std::optional<Status> ParseStackFlag(const std::string& arg,
+                                     StackFlags* flags) {
+  std::string value;
+  if (FlagValue(arg, "--threads", &value)) {
+    flags->threads_set = true;
+    return ParseCount(value, "--threads", 1, 1024, &flags->threads);
   }
-  for (; next_wait < futures.size(); ++next_wait) futures[next_wait].get();
-  outcome->completed = futures.size();
+  if (FlagValue(arg, "--cache", &value)) {
+    return ParseCount(value, "--cache", 0, 1 << 20, &flags->cache);
+  }
+  if (FlagValue(arg, "--shards", &value)) {
+    return ParseCount(value, "--shards", 1, 64, &flags->shards);
+  }
+  if (FlagValue(arg, "--replicas", &value)) {
+    return ParseCount(value, "--replicas", 1, 64, &flags->replicas);
+  }
+  if (FlagValue(arg, "--hedge-ms", &value)) {
+    return ParseDoubleArg(value, "--hedge-ms", 0, 1e6,
+                          &flags->hedge_ms.emplace());
+  }
+  if (FlagValue(arg, "--gather-slack-ms", &value)) {
+    return ParseDoubleArg(value, "--gather-slack-ms", 0, 1e6,
+                          &flags->gather_slack_ms.emplace());
+  }
+  if (FlagValue(arg, "--chaos-shard", &value)) {
+    return ParseCount(value, "--chaos-shard", 0, 63, &flags->chaos_shard);
+  }
+  if (FlagValue(arg, "--chaos-replica", &value)) {
+    return ParseCount(value, "--chaos-replica", 0, 63, &flags->chaos_replica);
+  }
+  if (FlagValue(arg, "--chaos", &value)) {
+    if (value.empty()) {
+      return Status::InvalidArgument(
+          "--chaos: empty spec (see docs/resilience.md for the grammar)");
+    }
+    auto plan = resilience::FaultInjector::ParseChaosSpec(value);
+    if (!plan.ok()) return plan.status();
+    flags->chaos = value;
+    flags->chaos_plan = plan.value();
+    return Status::OK();
+  }
+  return std::nullopt;
 }
 
-// The wire form of one bench query: the JSON body POST /query decodes back
-// into the same QueryRequest RunBenchClient submits in-process.
-std::string QueryBodyJson(const Graph& pattern, double deadline_ms) {
+// Parses one of a command's own flags: nullopt for an argument it does not
+// know, else the status of parsing its value.
+using OwnFlags = std::function<std::optional<Status>(const std::string&)>;
+
+// Splits the command line of `serve` or `serve-bench` into stack flags, the
+// command's own flags and positionals, then checks what no single flag can.
+// Returns 0, or the exit code for a bad command line.
+int ParseCommandLine(int argc, char** argv, const OwnFlags& own,
+                     StackFlags* flags, std::vector<char*>* positional) {
+  for (int i = 0; i < argc; ++i) {
+    const std::string arg = argv[i];
+    std::optional<Status> parsed = ParseStackFlag(arg, flags);
+    if (!parsed.has_value()) parsed = own(arg);
+    if (parsed.has_value()) {
+      if (!parsed->ok()) return Fail(*parsed);
+    } else if (arg.rfind("--", 0) == 0) {
+      std::fprintf(stderr, "error: unknown flag '%s'\n", argv[i]);
+      return Usage();
+    } else {
+      positional->push_back(argv[i]);
+    }
+  }
+  if (flags->chaos_shard >= flags->shards) {
+    return Fail(Status::InvalidArgument(
+        "--chaos-shard must name one of the --shards shards"));
+  }
+  if (flags->chaos_replica >= flags->replicas) {
+    return Fail(Status::InvalidArgument(
+        "--chaos-replica must name one of the --replicas replicas"));
+  }
+  if (!flags->routed() &&
+      (flags->hedge_ms.has_value() || flags->gather_slack_ms.has_value())) {
+    return Fail(Status::InvalidArgument(
+        "--hedge-ms and --gather-slack-ms tune the router; they need "
+        "--shards or --replicas"));
+  }
+  return 0;
+}
+
+// The serving stack of both commands: one QueryService, or a ShardedRouter
+// over shards x replicas, plus the FaultInjector --chaos arms. Service fault
+// points land on the service, or on replica (--chaos-shard,
+// --chaos-replica) of the router; an HttpFront arms http_read.
+class Stack {
+ public:
+  // `options` is the template for every service; the flags set its threads,
+  // cache and chaos.
+  Stack(const GraphDatabase& db, const StackFlags& flags,
+        QueryServiceOptions options) {
+    if (flags.chaos_plan.has_value()) injector_.emplace(*flags.chaos_plan);
+    options.num_threads = static_cast<size_t>(flags.threads);
+    options.cache_capacity = static_cast<size_t>(flags.cache);
+    if (!flags.routed()) {
+      options.fault_injector = injector();
+      service_ = std::make_unique<QueryService>(db, options);
+      return;
+    }
+    shard::ShardedRouterOptions router_options;
+    router_options.num_shards = static_cast<size_t>(flags.shards);
+    router_options.num_replicas = static_cast<size_t>(flags.replicas);
+    router_options.shard_options = options;
+    router_options.hedge_ms = flags.hedge_ms.value_or(0);
+    if (flags.gather_slack_ms.has_value()) {
+      router_options.gather_slack_ms = *flags.gather_slack_ms;
+    }
+    router_options.chaos_injector = injector();
+    router_options.chaos_shard = static_cast<size_t>(flags.chaos_shard);
+    router_options.chaos_replica = static_cast<size_t>(flags.chaos_replica);
+    router_ = std::make_unique<shard::ShardedRouter>(db, router_options);
+  }
+
+  Stack(const Stack&) = delete;
+  Stack& operator=(const Stack&) = delete;
+
+  QueryService* service() { return service_.get(); }
+  shard::ShardedRouter* router() { return router_.get(); }
+  resilience::FaultInjector* injector() {
+    return injector_.has_value() ? &*injector_ : nullptr;
+  }
+  obs::MetricsRegistry& metrics() {
+    return router_ != nullptr ? router_->metrics() : service_->metrics();
+  }
+
+  QueryResult Execute(QueryRequest request) {
+    return router_ != nullptr ? router_->Execute(std::move(request))
+                              : service_->Execute(std::move(request));
+  }
+
+  // Summed over the fleet under a router.
+  ServiceStats Stats() const {
+    return router_ != nullptr ? router_->AggregateSnapshot()
+                              : service_->Snapshot();
+  }
+
+  // Drains every pool. Counters are exact only afterwards: router legs
+  // finish their bookkeeping on pool threads after the gather resolves.
+  void Shutdown() {
+    if (router_ != nullptr) {
+      router_->Shutdown();
+    } else {
+      service_->Shutdown();
+    }
+  }
+
+  std::string Describe() const {
+    if (router_ == nullptr) {
+      return "1 service x " + std::to_string(service_->num_threads()) +
+             " threads";
+    }
+    return std::to_string(router_->num_shards()) + " shards x " +
+           std::to_string(router_->num_replicas()) + " replicas x " +
+           std::to_string(router_->shard(0).num_threads()) + " threads";
+  }
+
+ private:
+  std::optional<resilience::FaultInjector> injector_;
+  std::unique_ptr<QueryService> service_;
+  std::unique_ptr<shard::ShardedRouter> router_;
+};
+
+// A loopback HTTP server in front of a Stack: QueryServing routes its
+// endpoints into the stack, and the server arms the stack's injector at
+// http_read.
+class HttpFront {
+ public:
+  HttpFront(Stack& stack, uint16_t port, size_t threads)
+      : serving_(Serving(stack)),
+        server_(
+            [this](const net::HttpRequest& r) { return serving_.Handle(r); },
+            ServerOptions(stack, port, threads)) {
+    serving_.set_server(&server_);
+  }
+
+  HttpFront(const HttpFront&) = delete;
+  HttpFront& operator=(const HttpFront&) = delete;
+
+  Status Start() { return server_.Start(); }
+  void Shutdown() { server_.Shutdown(); }
+  uint16_t port() const { return server_.port(); }
+  const net::HttpServer& server() const { return server_; }
+
+ private:
+  static net::QueryServing Serving(Stack& stack) {
+    net::QueryServing::Options options;
+    options.metrics = &stack.metrics();
+    if (stack.router() != nullptr) {
+      return net::QueryServing(stack.router(), options);
+    }
+    return net::QueryServing(stack.service(), options);
+  }
+
+  static net::HttpServerOptions ServerOptions(Stack& stack, uint16_t port,
+                                              size_t threads) {
+    net::HttpServerOptions options;
+    options.port = port;
+    options.num_threads = threads;
+    options.metrics = &stack.metrics();
+    options.fault_injector = stack.injector();
+    return options;
+  }
+
+  net::QueryServing serving_;
+  net::HttpServer server_;
+};
+
+// The wire form of a request: the JSON body POST /query decodes back into
+// the same QueryRequest.
+std::string QueryBodyJson(const QueryRequest& request) {
+  const Graph& pattern = request.pattern;
   net::JsonValue vertices = net::JsonValue::Array();
   for (VertexId v = 0; v < pattern.NumVertices(); ++v) {
     vertices.Append(net::JsonValue::Number(pattern.VertexLabel(v)));
@@ -466,1108 +577,358 @@ std::string QueryBodyJson(const Graph& pattern, double deadline_ms) {
   json_pattern.Set("edges", std::move(edges));
   net::JsonValue body = net::JsonValue::Object();
   body.Set("pattern", std::move(json_pattern));
-  body.Set("max_embeddings", net::JsonValue::Number(2000));
-  if (deadline_ms > 0) {
-    body.Set("deadline_ms", net::JsonValue::Number(deadline_ms));
+  body.Set("max_embeddings",
+           net::JsonValue::Number(static_cast<double>(request.max_embeddings)));
+  if (request.deadline_ms > 0) {
+    body.Set("deadline_ms", net::JsonValue::Number(request.deadline_ms));
+  }
+  if (request.allow_partial) {
     body.Set("allow_partial", net::JsonValue::Bool(true));
   }
   return body.Dump();
 }
 
-// Re-extracts the deterministic content subset from a /query response body,
-// in the same key order QueryResultContentJson emits, so equal results dump
-// to equal bytes regardless of transport diagnostics in the full response.
-StatusOr<std::string> ResponseContentDump(const std::string& body) {
-  auto parsed = net::ParseJson(body);
-  if (!parsed.ok()) return parsed.status();
-  if (!parsed.value().is_object()) {
-    return Status::ParseError("response body is not a JSON object");
+// One answer as the client loop sees it, from any layer: its status, its
+// deterministic content (QueryResultContentJson's bytes) and its latency.
+struct Answer {
+  Status status;
+  bool truncated = false;
+  std::string content;
+  double latency_ms = 0;
+};
+
+// An answer that is only a failure: no content, latency stamped by caller.
+Answer Failure(Status status) {
+  Answer answer;
+  answer.status = std::move(status);
+  return answer;
+}
+
+Answer AnswerOf(const QueryResult& result, double latency_ms) {
+  return Answer{result.status, result.truncated,
+                net::QueryResultContentJson(result).Dump(), latency_ms};
+}
+
+// The StatusCode that StatusCodeToString names `name`; kInternal for a name
+// it never returns.
+StatusCode CodeNamed(const std::string& name) {
+  for (int c = 0; c <= static_cast<int>(StatusCode::kCancelled); ++c) {
+    if (name == StatusCodeToString(static_cast<StatusCode>(c))) {
+      return static_cast<StatusCode>(c);
+    }
+  }
+  return StatusCode::kInternal;
+}
+
+// Reads a /query reply back into an Answer. A 2xx reply carries the result
+// content, re-extracted in the key order QueryResultContentJson emits; any
+// other reply carries the documented {"error": {"code", "message"}}.
+Answer DecodeAnswer(const net::HttpResponseParser::Response& response) {
+  auto parsed = net::ParseJson(response.body);
+  if (!parsed.ok() || !parsed.value().is_object()) {
+    return Failure(Status::Internal("reply body is not a JSON object"));
+  }
+  const net::JsonValue& body = parsed.value();
+  if (response.status < 200 || response.status >= 300) {
+    const net::JsonValue* error = body.Find("error");
+    const net::JsonValue* code = nullptr;
+    const net::JsonValue* message = nullptr;
+    if (error != nullptr && error->is_object()) {
+      code = error->Find("code");
+      message = error->Find("message");
+    }
+    if (code == nullptr || !code->is_string() || message == nullptr ||
+        !message->is_string()) {
+      return Failure(Status::Internal("error reply without a code"));
+    }
+    return Failure(
+        Status(CodeNamed(code->string_value()), message->string_value()));
   }
   net::JsonValue content = net::JsonValue::Object();
-  for (const char* key :
-       {"status", "embedding_count", "matched_graphs", "suggestions",
-        "truncated"}) {
-    const net::JsonValue* field = parsed.value().Find(key);
+  for (const char* key : {"status", "embedding_count", "matched_graphs",
+                          "suggestions", "truncated"}) {
+    const net::JsonValue* field = body.Find(key);
     if (field == nullptr) {
-      return Status::ParseError(std::string("response is missing '") + key +
-                                "'");
+      return Failure(
+          Status::Internal(std::string("reply is missing '") + key + "'"));
     }
     content.Set(key, *field);
   }
-  return content.Dump();
+  const net::JsonValue* truncated = body.Find("truncated");
+  return Answer{Status::OK(), truncated->is_bool() && truncated->bool_value(),
+                content.Dump()};
 }
 
-double Quantile(std::vector<double>& sorted_ms, double q) {
+// Starts one request on a layer and returns its future answer, or the
+// refusal of a layer that pushes back.
+using StartFn = std::function<StatusOr<std::future<Answer>>(QueryRequest)>;
+
+std::future<Answer> Ready(Answer answer) {
+  std::promise<Answer> promise;
+  promise.set_value(std::move(answer));
+  return promise.get_future();
+}
+
+// A layer that answers inside the call, so its client loop stays closed.
+StartFn ClosedLoop(std::function<QueryResult(QueryRequest)> call) {
+  return [call = std::move(call)](
+             QueryRequest request) -> StatusOr<std::future<Answer>> {
+    Stopwatch timer;
+    QueryResult result = call(std::move(request));
+    return Ready(AnswerOf(result, timer.ElapsedMillis()));
+  };
+}
+
+StartFn InProcess(Stack& stack) {
+  return ClosedLoop([&stack](QueryRequest request) {
+    return stack.Execute(std::move(request));
+  });
+}
+
+// QueryService::Submit: the one asynchronous start, and the one that can
+// refuse (backpressure). Its answers are pipelined, each timed by the
+// service from admission to completion.
+StartFn Pipelined(QueryService& service) {
+  return [&service](QueryRequest request) -> StatusOr<std::future<Answer>> {
+    auto submitted = service.Submit(std::move(request));
+    if (!submitted.ok()) return submitted.status();
+    return std::async(std::launch::deferred,
+                      [future = std::move(submitted).value()]() mutable {
+                        QueryResult result = future.get();
+                        return AnswerOf(result, result.latency_ms);
+                      });
+  };
+}
+
+// POST /query over one keep-alive connection, which closes when the
+// client's stripe ends and the function dies. A failed request is never
+// re-sent, so under chaos the server draws one http_read fault per request
+// and the tally is a function of the seed (EXPERIMENTS.md E17).
+StartFn OverHttp(uint16_t port) {
+  // Shared only because std::function copies its callable.
+  auto client = std::make_shared<net::HttpClient>();
+  return [client, port](QueryRequest request) -> StatusOr<std::future<Answer>> {
+    const std::string body = QueryBodyJson(request);
+    if (!client->connected()) {
+      if (Status s = client->Connect("127.0.0.1", port); !s.ok()) {
+        return Ready(Failure(s));
+      }
+    }
+    Stopwatch timer;
+    auto response = client->Roundtrip("POST", "/query", body);
+    const double latency_ms = timer.ElapsedMillis();
+    Answer answer = response.ok() ? DecodeAnswer(response.value())
+                                  : Failure(response.status());
+    answer.latency_ms = latency_ms;
+    return Ready(std::move(answer));
+  };
+}
+
+// What one client saw: its starts, the starts its layer refused, and every
+// answer's status, latency and match against the reference.
+struct Tally {
+  uint64_t attempts = 0;
+  uint64_t refused = 0;
+  uint64_t ok = 0;
+  uint64_t truncated = 0;  // partial answers
+  uint64_t unavailable = 0;
+  uint64_t internal = 0;
+  uint64_t deadline_exceeded = 0;
+  uint64_t other = 0;
+  uint64_t matches = 0;
+  uint64_t mismatches = 0;
+  std::vector<double> latencies_ms;
+
+  // `expected` is the reference content, or null when not verifying.
+  void Add(const Answer& answer, const std::string* expected) {
+    latencies_ms.push_back(answer.latency_ms);
+    if (answer.truncated) ++truncated;
+    switch (answer.status.code()) {
+      case StatusCode::kOk:
+        ++ok;
+        break;
+      case StatusCode::kUnavailable:
+        ++unavailable;
+        break;
+      case StatusCode::kInternal:
+        ++internal;
+        break;
+      case StatusCode::kDeadlineExceeded:
+        ++deadline_exceeded;
+        break;
+      default:
+        ++other;
+        break;
+    }
+    if (expected != nullptr) {
+      ++(answer.content == *expected ? matches : mismatches);
+    }
+  }
+
+  void Merge(const Tally& t) {
+    attempts += t.attempts;
+    refused += t.refused;
+    ok += t.ok;
+    truncated += t.truncated;
+    unavailable += t.unavailable;
+    internal += t.internal;
+    deadline_exceeded += t.deadline_exceeded;
+    other += t.other;
+    matches += t.matches;
+    mismatches += t.mismatches;
+    latencies_ms.insert(latencies_ms.end(), t.latencies_ms.begin(),
+                        t.latencies_ms.end());
+  }
+
+  uint64_t answers() const { return latencies_ms.size(); }
+};
+
+// The replayed workload: the distinct queries, then the duplicates
+// --dup-ratio adds, striped across clients for `repeat` rounds.
+struct Replay {
+  std::vector<Graph> queries;
+  size_t distinct = 0;
+  size_t repeat = 1;
+  size_t clients = 1;
+  double deadline_ms = 0;
+  bool allow_partial = false;
+  // Reference content per distinct query; empty when not verifying.
+  std::vector<std::string> expected;
+
+  // Every request has one shape: embeddings capped at 2000, the
+  // --deadline-ms budget, and partial answers accepted whenever chaos or a
+  // deadline may cut one.
+  QueryRequest Request(size_t qi) const {
+    QueryRequest request;
+    request.pattern = queries[qi];
+    request.max_embeddings = 2000;
+    request.deadline_ms = deadline_ms;
+    request.allow_partial = allow_partial;
+    return request;
+  }
+};
+
+// One client's stripe of the replay. A refused start waits for the
+// client's oldest pending answer, then retries: the retry-after-drain loop
+// a well-behaved caller runs under backpressure. A barrier between rounds
+// models users re-issuing popular queries after earlier answers came back.
+void RunClient(const StartFn& start, const Replay& replay, size_t client,
+               Tally* tally) {
+  std::vector<std::pair<size_t, std::future<Answer>>> pending;
+  size_t next = 0;
+  auto collect = [&] {
+    auto& [qi, answer] = pending[next++];
+    tally->Add(answer.get(), replay.expected.empty()
+                                 ? nullptr
+                                 : &replay.expected[qi % replay.distinct]);
+  };
+  for (size_t round = 0; round < replay.repeat; ++round) {
+    for (size_t qi = client; qi < replay.queries.size(); qi += replay.clients) {
+      for (;;) {
+        ++tally->attempts;
+        auto started = start(replay.Request(qi));
+        if (started.ok()) {
+          pending.emplace_back(qi, std::move(started).value());
+          break;
+        }
+        ++tally->refused;
+        if (next < pending.size()) {
+          collect();
+        } else {
+          std::this_thread::yield();
+        }
+      }
+    }
+    while (next < pending.size()) collect();
+  }
+}
+
+struct Run {
+  std::vector<Tally> clients;
+  Tally total;  // latencies sorted
+  double seconds = 0;
+};
+
+// Runs every client's stripe on its own thread. `start_for(c)` makes client
+// c's start function on that thread, so whatever it holds (a connection)
+// lives exactly as long as the stripe.
+Run RunReplay(const Replay& replay,
+              const std::function<StartFn(size_t)>& start_for) {
+  Run run;
+  run.clients.resize(replay.clients);
+  Stopwatch timer;
+  std::vector<std::thread> workers;
+  for (size_t c = 0; c < replay.clients; ++c) {
+    workers.emplace_back([&, c] {
+      RunClient(start_for(c), replay, c, &run.clients[c]);
+    });
+  }
+  for (std::thread& w : workers) w.join();
+  run.seconds = timer.ElapsedSeconds();
+  for (const Tally& t : run.clients) run.total.Merge(t);
+  std::sort(run.total.latencies_ms.begin(), run.total.latencies_ms.end());
+  return run;
+}
+
+double Quantile(const std::vector<double>& sorted_ms, double q) {
   if (sorted_ms.empty()) return 0;
   size_t index = static_cast<size_t>(q * static_cast<double>(sorted_ms.size()));
   if (index >= sorted_ms.size()) index = sorted_ms.size() - 1;
   return sorted_ms[index];
 }
 
-// One HTTP bench client's tally. Latencies are client-observed (serialize +
-// wire + parse), the numbers E17 compares against in-process Execute calls.
-struct HttpClientOutcome {
-  std::vector<double> latencies_ms;
-  uint64_t ok = 0;
-  uint64_t http_errors = 0;      // non-2xx responses (503 under chaos)
-  uint64_t transport_errors = 0; // torn reads, resets, timeouts
-  uint64_t content_matches = 0;
-  uint64_t content_mismatches = 0;
-};
+// GET /metrics and /healthz over one probe connection.
+struct Scrapes {
+  uint64_t metrics_ok = 0;
+  uint64_t healthz_ok = 0;
+  uint64_t failures = 0;
 
-// Drives this client's stripe of the workload through a real socket. On any
-// failure the client reconnects but never re-sends the failed request, so
-// under chaos the server draws exactly one http_read fault decision per
-// request and the availability tally is a deterministic function of the
-// seed (EXPERIMENTS.md E17).
-void RunHttpBenchClient(uint16_t port, const std::vector<std::string>& bodies,
-                        const std::vector<std::string>& expected,
-                        size_t distinct, size_t repeat, size_t client_id,
-                        size_t num_clients, bool verify_content,
-                        HttpClientOutcome* outcome) {
-  net::HttpClient client;
-  for (size_t round = 0; round < repeat; ++round) {
-    for (size_t qi = client_id; qi < bodies.size(); qi += num_clients) {
-      if (!client.connected() &&
-          !client.Connect("127.0.0.1", port).ok()) {
-        ++outcome->transport_errors;
-        continue;
-      }
-      Stopwatch timer;
-      auto response = client.Roundtrip("POST", "/query", bodies[qi]);
-      if (!response.ok()) {
-        ++outcome->transport_errors;
-        client.Close();
-        continue;
-      }
-      outcome->latencies_ms.push_back(timer.ElapsedMillis());
-      if (response.value().status < 200 || response.value().status >= 300) {
-        ++outcome->http_errors;
-        continue;
-      }
-      ++outcome->ok;
-      if (verify_content) {
-        auto content = ResponseContentDump(response.value().body);
-        if (content.ok() && content.value() == expected[qi % distinct]) {
-          ++outcome->content_matches;
-        } else {
-          ++outcome->content_mismatches;
-        }
-      }
-    }
-  }
-}
+  bool answered() const { return metrics_ok > 0 && healthz_ok > 0; }
 
-// serve-bench --http: the same workload, twice — in-process Execute calls,
-// then real loopback sockets — so the delta is exactly the serving stack
-// (JSON codec + HTTP framing + TCP + thread handoff).
-int RunHttpBench(const GraphDatabase& db, const std::vector<Graph>& queries,
-                 size_t distinct_queries, size_t repeat, size_t clients,
-                 size_t threads, double deadline_ms, int64_t cache_arg,
-                 bool coalesce, const std::string& chaos_spec,
-                 const std::string& metrics_out) {
-  QueryServiceOptions options;
-  options.num_threads = threads;
-  options.queue_capacity = 512;
-  options.cache_capacity = static_cast<size_t>(cache_arg);
-  options.enable_coalescing = coalesce;
-
-  // Expected result content per distinct query, computed by a throwaway
-  // service so both timed phases start with a cold cache.
-  std::vector<std::string> bodies;
-  bodies.reserve(queries.size());
-  for (const Graph& q : queries) {
-    bodies.push_back(QueryBodyJson(q, deadline_ms));
-  }
-  const bool verify_content = chaos_spec.empty() && deadline_ms == 0;
-  std::vector<std::string> expected(distinct_queries);
-  {
-    QueryService reference(db, options);
-    for (size_t qi = 0; qi < distinct_queries; ++qi) {
-      auto parsed = net::ParseJson(bodies[qi]);
-      auto request = net::QueryRequestFromJson(parsed.value());
-      if (!request.ok()) return Fail(request.status());
-      QueryResult result = reference.Execute(std::move(request).value());
-      expected[qi] = net::QueryResultContentJson(result).Dump();
-    }
-  }
-
-  // Phase A: in-process. Same striping and client threads as the HTTP
-  // phase; the only difference is the call is a function call.
-  std::vector<std::vector<double>> direct_latencies(clients);
-  double direct_seconds = 0;
-  {
-    QueryService service(db, options);
-    Stopwatch timer;
-    auto run_direct = [&](size_t c) {
-      for (size_t round = 0; round < repeat; ++round) {
-        for (size_t qi = c; qi < queries.size(); qi += clients) {
-          auto parsed = net::ParseJson(bodies[qi]);
-          auto request = net::QueryRequestFromJson(parsed.value());
-          Stopwatch one;
-          service.Execute(std::move(request).value());
-          direct_latencies[c].push_back(one.ElapsedMillis());
-        }
-      }
-    };
-    std::vector<std::thread> workers;
-    for (size_t c = 0; c < clients; ++c) {
-      workers.emplace_back([&run_direct, c] { run_direct(c); });
-    }
-    for (auto& w : workers) w.join();
-    direct_seconds = timer.ElapsedSeconds();
-  }
-
-  // Phase B: the same requests through real sockets.
-  std::optional<resilience::FaultInjector> injector;
-  if (!chaos_spec.empty()) {
-    auto plan = resilience::FaultInjector::ParseChaosSpec(chaos_spec);
-    if (!plan.ok()) return Fail(plan.status());
-    injector.emplace(plan.value());
-  }
-  QueryService service(db, options);
-  net::QueryServing::Options serving_options;
-  serving_options.metrics = &service.metrics();
-  net::QueryServing serving(&service, serving_options);
-  net::HttpServerOptions server_options;
-  server_options.num_threads = threads;
-  server_options.metrics = &service.metrics();
-  // Chaos arms only the wire: the experiment isolates transport faults, so
-  // the backend itself stays fault-free.
-  if (injector.has_value()) server_options.fault_injector = &*injector;
-  net::HttpServer server(
-      [&serving](const net::HttpRequest& r) { return serving.Handle(r); },
-      server_options);
-  serving.set_server(&server);
-  if (Status s = server.Start(); !s.ok()) return Fail(s);
-
-  std::vector<HttpClientOutcome> outcomes(clients);
-  std::atomic<bool> bench_done{false};
-  uint64_t scrape_metrics_ok = 0;
-  uint64_t scrape_healthz_ok = 0;
-  uint64_t scrape_failures = 0;
-  // Under chaos the scraper would consume http_read fault draws and break
-  // run-to-run determinism, so it scrapes after the load loop instead.
-  std::thread scraper;
-  auto scrape_once = [&](net::HttpClient& probe) {
-    if (!probe.connected() &&
-        !probe.Connect("127.0.0.1", server.port()).ok()) {
-      ++scrape_failures;
+  void Once(net::HttpClient& probe, uint16_t port) {
+    if (!probe.connected() && !probe.Connect("127.0.0.1", port).ok()) {
+      ++failures;
       return;
     }
-    auto metrics = probe.Roundtrip("GET", "/metrics");
-    if (metrics.ok() && metrics.value().status == 200) {
-      ++scrape_metrics_ok;
-    } else {
-      ++scrape_failures;
+    for (auto [path, ok] : {std::pair{"/metrics", &metrics_ok},
+                            std::pair{"/healthz", &healthz_ok}}) {
+      auto response = probe.Roundtrip("GET", path);
+      ++(response.ok() && response.value().status == 200 ? *ok : failures);
     }
-    auto healthz = probe.Roundtrip("GET", "/healthz");
-    if (healthz.ok() && healthz.value().status == 200) {
-      ++scrape_healthz_ok;
-    } else {
-      ++scrape_failures;
-    }
-  };
-  if (!injector.has_value()) {
-    scraper = std::thread([&] {
-      net::HttpClient probe;
-      while (!bench_done.load(std::memory_order_relaxed)) {
-        scrape_once(probe);
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      }
-    });
   }
+};
 
-  Stopwatch timer;
-  {
-    std::vector<std::thread> workers;
-    for (size_t c = 0; c < clients; ++c) {
-      workers.emplace_back([&, c] {
-        RunHttpBenchClient(server.port(), bodies, expected, distinct_queries,
-                           repeat, c, clients, verify_content, &outcomes[c]);
-      });
-    }
-    for (auto& w : workers) w.join();
+void PrintChaos(Stack& stack, const StackFlags& flags) {
+  resilience::FaultInjector& injector = *stack.injector();
+  std::printf("chaos:       spec '%s' (seed %llu)", flags.chaos.c_str(),
+              static_cast<unsigned long long>(injector.seed()));
+  if (stack.router() != nullptr) {
+    std::printf(" on shard %lld replica %lld only",
+                static_cast<long long>(flags.chaos_shard),
+                static_cast<long long>(flags.chaos_replica));
   }
-  double http_seconds = timer.ElapsedSeconds();
-  bench_done.store(true, std::memory_order_relaxed);
-  if (scraper.joinable()) scraper.join();
-  if (injector.has_value()) {
-    // The probe itself draws http_read faults, so give it a few attempts;
-    // these draws come after every bench request's, so the availability
-    // tally above stays seed-deterministic.
-    net::HttpClient probe;
-    for (int attempt = 0;
-         attempt < 5 && (scrape_metrics_ok == 0 || scrape_healthz_ok == 0);
-         ++attempt) {
-      scrape_once(probe);
-    }
+  std::printf("\n");
+  for (size_t p = 0; p < resilience::kNumFaultPoints; ++p) {
+    auto point = static_cast<resilience::FaultPoint>(p);
+    uint64_t errors = injector.InjectedErrors(point);
+    uint64_t latencies = injector.InjectedLatencies(point);
+    uint64_t drops = injector.InjectedDrops(point);
+    if (errors + latencies + drops == 0) continue;
+    std::printf("  %-11s %llu errors, %llu latencies, %llu drops\n",
+                resilience::FaultPointName(point),
+                static_cast<unsigned long long>(errors),
+                static_cast<unsigned long long>(latencies),
+                static_cast<unsigned long long>(drops));
   }
-
-  std::vector<double> direct_all;
-  for (auto& v : direct_latencies) {
-    direct_all.insert(direct_all.end(), v.begin(), v.end());
-  }
-  std::sort(direct_all.begin(), direct_all.end());
-  std::vector<double> http_all;
-  HttpClientOutcome tally;
-  for (const HttpClientOutcome& o : outcomes) {
-    http_all.insert(http_all.end(), o.latencies_ms.begin(),
-                    o.latencies_ms.end());
-    tally.ok += o.ok;
-    tally.http_errors += o.http_errors;
-    tally.transport_errors += o.transport_errors;
-    tally.content_matches += o.content_matches;
-    tally.content_mismatches += o.content_mismatches;
-  }
-  std::sort(http_all.begin(), http_all.end());
-  const uint64_t total_requests =
-      tally.ok + tally.http_errors + tally.transport_errors;
-
-  std::printf("http bench:  %zu distinct queries x %zu rounds, %zu clients, "
-              "%zu server threads\n",
-              distinct_queries, repeat, clients, threads);
-  std::printf("in-process:  %zu requests in %.3fs  p50 %.3fms  p99 %.3fms\n",
-              direct_all.size(), direct_seconds, Quantile(direct_all, 0.50),
-              Quantile(direct_all, 0.99));
-  std::printf("http:        %llu requests in %.3fs  p50 %.3fms  p99 %.3fms\n",
-              static_cast<unsigned long long>(total_requests), http_seconds,
-              Quantile(http_all, 0.50), Quantile(http_all, 0.99));
-  std::printf("wire overhead: p50 %+.3fms  p99 %+.3fms\n",
-              Quantile(http_all, 0.50) - Quantile(direct_all, 0.50),
-              Quantile(http_all, 0.99) - Quantile(direct_all, 0.99));
-  if (verify_content) {
-    std::printf("content:     %llu/%llu responses byte-identical to "
-                "in-process results\n",
-                static_cast<unsigned long long>(tally.content_matches),
-                static_cast<unsigned long long>(tally.content_matches +
-                                                tally.content_mismatches));
-  }
-  if (injector.has_value()) {
-    double availability =
-        total_requests == 0
-            ? 0.0
-            : 100.0 * static_cast<double>(tally.ok) /
-                  static_cast<double>(total_requests);
-    std::printf("chaos:       spec '%s' (seed %llu)\n", chaos_spec.c_str(),
-                static_cast<unsigned long long>(injector->seed()));
-    auto point = resilience::FaultPoint::kHttpRead;
-    std::printf("  http_read  %llu errors, %llu latencies, %llu drops\n",
-                static_cast<unsigned long long>(
-                    injector->InjectedErrors(point)),
-                static_cast<unsigned long long>(
-                    injector->InjectedLatencies(point)),
-                static_cast<unsigned long long>(
-                    injector->InjectedDrops(point)));
-    std::printf("availability: %.1f%% ok (%llu http errors, %llu transport "
-                "errors)\n",
-                availability,
-                static_cast<unsigned long long>(tally.http_errors),
-                static_cast<unsigned long long>(tally.transport_errors));
-  }
-  std::printf("scrapes:     /metrics %llu ok, /healthz %llu ok, %llu "
-              "failures%s\n",
-              static_cast<unsigned long long>(scrape_metrics_ok),
-              static_cast<unsigned long long>(scrape_healthz_ok),
-              static_cast<unsigned long long>(scrape_failures),
-              injector.has_value() ? " (post-load under chaos)" : "");
-  if (!metrics_out.empty()) {
-    if (Status s = obs::WritePrometheusFile(service.metrics(), metrics_out);
-        !s.ok()) {
-      return Fail(s);
-    }
-    std::printf("metrics:     wrote Prometheus snapshot to %s\n",
-                metrics_out.c_str());
-  }
-  server.Shutdown();
-  service.Shutdown();
-  if (verify_content && tally.content_mismatches > 0) return 1;
-  if (scrape_metrics_ok == 0 || scrape_healthz_ok == 0) {
-    std::fprintf(stderr, "error: observability endpoints never answered\n");
-    return 1;
-  }
-  return 0;
 }
 
-// serve-bench --shards: the sharded scatter-gather path (EXPERIMENTS.md E18,
-// and E19 with --replicas). Phase A computes reference results on one
-// unsharded QueryService; phase B replays the same workload through a
-// ShardedRouter over N shards x R replicas and checks the merged content is
-// byte-identical to the reference. With --chaos the injector is wired into
-// replica (--chaos-shard, --chaos-replica) only, so the report shows whether
-// the damage stayed contained — and with R > 1, whether the sibling replicas
-// absorbed it entirely.
-int RunShardBench(const GraphDatabase& db, const std::vector<Graph>& queries,
-                  size_t distinct_queries, size_t repeat, size_t clients,
-                  size_t threads, double deadline_ms, int64_t cache_arg,
-                  bool coalesce, const std::string& chaos_spec,
-                  const std::string& metrics_out, size_t shards,
-                  size_t replicas, double hedge_ms, double gather_slack_ms,
-                  size_t chaos_shard, size_t chaos_replica) {
-  QueryServiceOptions shard_options;
-  shard_options.num_threads = threads;
-  shard_options.queue_capacity = 512;
-  shard_options.cache_capacity = static_cast<size_t>(cache_arg);
-  shard_options.enable_coalescing = coalesce;
-
-  std::optional<resilience::FaultInjector> injector;
-  if (!chaos_spec.empty()) {
-    auto plan = resilience::FaultInjector::ParseChaosSpec(chaos_spec);
-    if (!plan.ok()) return Fail(plan.status());
-    injector.emplace(plan.value());
-  }
-
-  auto bench_request = [&](size_t qi) {
-    QueryRequest request;
-    request.pattern = queries[qi];
-    request.max_embeddings = 2000;
-    request.deadline_ms = deadline_ms;
-    // Chaos runs opt into graceful degradation: a dark shard then costs its
-    // slice of the collection, not the whole answer.
-    request.allow_partial = injector.has_value();
-    return request;
-  };
-
-  // Reference content per distinct query from one unsharded service — the
-  // ground truth the merged sharded results must reproduce byte-for-byte.
-  // Skipped under chaos or deadlines, where divergence is the experiment.
-  const bool verify_content = !injector.has_value() && deadline_ms == 0;
-  std::vector<std::string> expected(distinct_queries);
-  if (verify_content) {
-    QueryService reference(db, shard_options);
-    for (size_t qi = 0; qi < distinct_queries; ++qi) {
-      QueryResult result = reference.Execute(bench_request(qi));
-      expected[qi] = net::QueryResultContentJson(result).Dump();
-    }
-  }
-
-  shard::ShardedRouterOptions router_options;
-  router_options.num_shards = shards;
-  router_options.num_replicas = replicas;
-  router_options.shard_options = shard_options;
-  router_options.hedge_ms = hedge_ms;
-  if (gather_slack_ms >= 0) router_options.gather_slack_ms = gather_slack_ms;
-  if (injector.has_value()) {
-    router_options.chaos_injector = &*injector;
-    router_options.chaos_shard = chaos_shard;
-    router_options.chaos_replica = chaos_replica;
-  }
-  shard::ShardedRouter router(db, router_options);
-
-  struct ShardBenchOutcome {
-    ChaosOutcome statuses;
-    uint64_t content_matches = 0;
-    uint64_t content_mismatches = 0;
-  };
-  std::vector<ShardBenchOutcome> outcomes(clients);
-  auto run_client = [&](size_t c) {
-    ShardBenchOutcome& outcome = outcomes[c];
-    for (size_t round = 0; round < repeat; ++round) {
-      for (size_t qi = c; qi < queries.size(); qi += clients) {
-        QueryResult result = router.Execute(bench_request(qi));
-        if (result.truncated) ++outcome.statuses.truncated;
-        switch (result.status.code()) {
-          case StatusCode::kOk:
-            ++outcome.statuses.ok;
-            break;
-          case StatusCode::kUnavailable:
-            ++outcome.statuses.unavailable;
-            break;
-          case StatusCode::kInternal:
-            ++outcome.statuses.internal_error;
-            break;
-          case StatusCode::kDeadlineExceeded:
-            ++outcome.statuses.deadline_exceeded;
-            break;
-          default:
-            ++outcome.statuses.other;
-            break;
-        }
-        if (verify_content) {
-          std::string content = net::QueryResultContentJson(result).Dump();
-          if (content == expected[qi % distinct_queries]) {
-            ++outcome.content_matches;
-          } else {
-            ++outcome.content_mismatches;
-          }
-        }
-      }
-    }
-  };
-
-  Stopwatch timer;
-  if (clients == 1) {
-    run_client(0);
-  } else {
-    std::vector<std::thread> workers;
-    workers.reserve(clients);
-    for (size_t c = 0; c < clients; ++c) {
-      workers.emplace_back([&run_client, c] { run_client(c); });
-    }
-    for (auto& w : workers) w.join();
-  }
-  double seconds = timer.ElapsedSeconds();
-  // Drain before snapshotting: leg bookkeeping runs on pool threads after
-  // the gather resolves, so counters are only exact once the pool is idle.
-  router.Shutdown();
-
-  ShardBenchOutcome tally;
-  for (const ShardBenchOutcome& o : outcomes) {
-    tally.statuses.ok += o.statuses.ok;
-    tally.statuses.truncated += o.statuses.truncated;
-    tally.statuses.unavailable += o.statuses.unavailable;
-    tally.statuses.internal_error += o.statuses.internal_error;
-    tally.statuses.deadline_exceeded += o.statuses.deadline_exceeded;
-    tally.statuses.other += o.statuses.other;
-    tally.content_matches += o.content_matches;
-    tally.content_mismatches += o.content_mismatches;
-  }
-  shard::RouterStats stats = router.Snapshot();
-
-  std::printf("shard bench: %zu distinct queries x %zu rounds, %zu clients, "
-              "%zu shards x %zu replicas x %zu threads\n",
-              distinct_queries, repeat, clients, shards, replicas, threads);
-  std::printf("placement:   %s (",
-              shard::ShardPlacementName(router.shard_map().placement()));
-  for (size_t i = 0; i < shards; ++i) {
-    std::printf("%s%zu", i == 0 ? "" : "/", router.shard_map().Members(i).size());
-  }
-  std::printf(" graphs per shard)\n");
-  std::printf("throughput:  %.0f queries/s  (%llu routed, %llu fanned out)\n",
-              static_cast<double>(stats.requests) / seconds,
-              static_cast<unsigned long long>(stats.requests),
-              static_cast<unsigned long long>(stats.fanouts));
-  std::printf("latency:     p50 %.3fms  p99 %.3fms\n", stats.p50_latency_ms,
-              stats.p99_latency_ms);
-  if (verify_content) {
-    std::printf("content:     %llu/%llu merged results byte-identical to the "
-                "single-service reference\n",
-                static_cast<unsigned long long>(tally.content_matches),
-                static_cast<unsigned long long>(tally.content_matches +
-                                                tally.content_mismatches));
-  }
-  if (hedge_ms > 0) {
-    std::printf("hedging:     %llu fired, %llu won, %llu denied "
-                "(trigger max(%.1fms, p%.0f))\n",
-                static_cast<unsigned long long>(stats.hedges_fired),
-                static_cast<unsigned long long>(stats.hedges_won),
-                static_cast<unsigned long long>(stats.hedges_denied),
-                hedge_ms, 100 * router_options.hedge_quantile);
-    if (replicas > 1) {
-      std::printf("             %llu cross-replica fired, %llu won\n",
-                  static_cast<unsigned long long>(stats.cross_hedges_fired),
-                  static_cast<unsigned long long>(stats.cross_hedges_won));
-    }
-  }
-  if (replicas > 1) {
-    std::printf("replication: %llu failovers, %llu all-replicas-down "
-                "dispatches\n",
-                static_cast<unsigned long long>(stats.failovers),
-                static_cast<unsigned long long>(stats.all_replicas_down));
-  }
-  std::printf("per-shard leg tallies:\n");
-  for (size_t i = 0; i < stats.shards.size(); ++i) {
-    std::printf("  shard %zu: %llu legs, %llu errors%s%s\n", i,
-                static_cast<unsigned long long>(stats.shards[i].requests),
-                static_cast<unsigned long long>(stats.shards[i].errors),
-                replicas > 1
-                    ? ""
-                    : (std::string(", breaker ") +
-                       resilience::BreakerStateName(
-                           router.client(i).breaker_state()))
-                          .c_str(),
-                injector.has_value() && i == chaos_shard && replicas == 1
-                    ? "  <- chaos"
-                    : "");
-    for (size_t r = 0; r < replicas && replicas > 1; ++r) {
-      std::printf("    replica %zu: %llu picks, %llu errors, breaker %s%s\n",
-                  r,
-                  static_cast<unsigned long long>(stats.replica_picks[i][r]),
-                  static_cast<unsigned long long>(stats.replica_errors[i][r]),
-                  resilience::BreakerStateName(
-                      router.client(i, r).breaker_state()),
-                  injector.has_value() && i == chaos_shard &&
-                          r == chaos_replica
-                      ? "  <- chaos"
-                      : "");
-    }
-  }
-  if (injector.has_value()) {
-    std::printf("chaos:       spec '%s' (seed %llu) on shard %zu replica %zu "
-                "only\n",
-                chaos_spec.c_str(),
-                static_cast<unsigned long long>(injector->seed()), chaos_shard,
-                chaos_replica);
-    for (size_t p = 0; p < resilience::kNumFaultPoints; ++p) {
-      auto point = static_cast<resilience::FaultPoint>(p);
-      uint64_t errors = injector->InjectedErrors(point);
-      uint64_t latencies = injector->InjectedLatencies(point);
-      uint64_t drops = injector->InjectedDrops(point);
-      if (errors + latencies + drops == 0) continue;
-      std::printf("  %-11s %llu errors, %llu latencies, %llu drops\n",
-                  resilience::FaultPointName(point),
-                  static_cast<unsigned long long>(errors),
-                  static_cast<unsigned long long>(latencies),
-                  static_cast<unsigned long long>(drops));
-    }
-    double availability =
-        tally.statuses.total() == 0
-            ? 0.0
-            : 100.0 * static_cast<double>(tally.statuses.ok) /
-                  static_cast<double>(tally.statuses.total());
-    std::printf("availability: %.1f%% ok (%llu truncated partials; "
-                "%llu unavailable, %llu internal, %llu deadline-exceeded)\n",
-                availability,
-                static_cast<unsigned long long>(tally.statuses.truncated),
-                static_cast<unsigned long long>(tally.statuses.unavailable),
-                static_cast<unsigned long long>(tally.statuses.internal_error),
-                static_cast<unsigned long long>(
-                    tally.statuses.deadline_exceeded));
-    std::printf("degradation: %llu merged partials, %llu gather timeouts\n",
-                static_cast<unsigned long long>(stats.partials),
-                static_cast<unsigned long long>(stats.gather_timeouts));
-  }
-  if (!metrics_out.empty()) {
-    if (Status s = obs::WritePrometheusFile(router.metrics(), metrics_out);
-        !s.ok()) {
-      return Fail(s);
-    }
-    std::printf("metrics:     wrote Prometheus snapshot to %s\n",
-                metrics_out.c_str());
-  }
-  if (verify_content && tally.content_mismatches > 0) return 1;
-  return 0;
-}
-
-// SIGINT/SIGTERM flip this; the serve loop polls it and drains. Signal-safe:
-// handlers may only touch lock-free atomics.
-std::atomic<bool> g_serve_stop{false};
-
-void HandleServeSignal(int) { g_serve_stop.store(true); }
-
-int Serve(int argc, char** argv) {
-  int64_t port_arg = 8080;
-  int64_t threads_arg = 4;
-  int64_t cache_arg = 1024;
-  int64_t shards_arg = 1;
-  int64_t replicas_arg = 1;
-  int64_t chaos_shard_arg = 0;
-  int64_t chaos_replica_arg = 0;
-  double hedge_ms = 0;
-  // Negative sentinel: "flag absent, keep the router's default slack".
-  double gather_slack_ms = -1;
-  std::string chaos_spec;
-  bool smoke = false;
-  std::vector<char*> positional;
-  for (int i = 0; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--port=", 0) == 0) {
-      if (Status s = ParseCount(arg.substr(7), "--port", 0, 65535, &port_arg);
-          !s.ok()) {
-        return Fail(s);
-      }
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      if (Status s = ParseCount(arg.substr(10), "--threads", 1, 1024,
-                                &threads_arg);
-          !s.ok()) {
-        return Fail(s);
-      }
-    } else if (arg.rfind("--cache=", 0) == 0) {
-      if (Status s = ParseCount(arg.substr(8), "--cache", 0, 1 << 20,
-                                &cache_arg);
-          !s.ok()) {
-        return Fail(s);
-      }
-    } else if (arg.rfind("--shards=", 0) == 0) {
-      if (Status s = ParseCount(arg.substr(9), "--shards", 1, 64, &shards_arg);
-          !s.ok()) {
-        return Fail(s);
-      }
-    } else if (arg.rfind("--replicas=", 0) == 0) {
-      if (Status s = ParseCount(arg.substr(11), "--replicas", 1, 64,
-                                &replicas_arg);
-          !s.ok()) {
-        return Fail(s);
-      }
-    } else if (arg.rfind("--hedge-ms=", 0) == 0) {
-      if (Status s = ParseDoubleArg(arg.substr(11), "--hedge-ms", 0, 1e6,
-                                    &hedge_ms);
-          !s.ok()) {
-        return Fail(s);
-      }
-    } else if (arg.rfind("--gather-slack-ms=", 0) == 0) {
-      if (Status s = ParseDoubleArg(arg.substr(18), "--gather-slack-ms", 0,
-                                    1e6, &gather_slack_ms);
-          !s.ok()) {
-        return Fail(s);
-      }
-    } else if (arg.rfind("--chaos-shard=", 0) == 0) {
-      if (Status s = ParseCount(arg.substr(14), "--chaos-shard", 0, 63,
-                                &chaos_shard_arg);
-          !s.ok()) {
-        return Fail(s);
-      }
-    } else if (arg.rfind("--chaos-replica=", 0) == 0) {
-      if (Status s = ParseCount(arg.substr(16), "--chaos-replica", 0, 63,
-                                &chaos_replica_arg);
-          !s.ok()) {
-        return Fail(s);
-      }
-    } else if (arg.rfind("--chaos=", 0) == 0) {
-      chaos_spec = arg.substr(8);
-      if (chaos_spec.empty()) {
-        return Fail(Status::InvalidArgument(
-            "--chaos: empty spec (see docs/resilience.md for the grammar)"));
-      }
-    } else if (arg == "--smoke") {
-      smoke = true;
-    } else if (arg.rfind("--", 0) == 0) {
-      std::fprintf(stderr, "error: unknown flag '%s'\n", argv[i]);
-      return Usage();
-    } else {
-      positional.push_back(argv[i]);
-    }
-  }
-  if (positional.size() != 1) return Usage();
-  if (chaos_shard_arg >= shards_arg) {
-    return Fail(Status::InvalidArgument(
-        "--chaos-shard must name one of the --shards shards"));
-  }
-  if (chaos_replica_arg >= replicas_arg) {
-    return Fail(Status::InvalidArgument(
-        "--chaos-replica must name one of the --replicas replicas"));
-  }
-  auto db = io::LoadDatabase(positional[0]);
-  if (!db.ok()) return Fail(db.status());
-  if (db->empty()) return Fail(Status::InvalidArgument("input has no graphs"));
-
-  std::optional<resilience::FaultInjector> injector;
-  if (!chaos_spec.empty()) {
-    auto plan = resilience::FaultInjector::ParseChaosSpec(chaos_spec);
-    if (!plan.ok()) return Fail(plan.status());
-    injector.emplace(plan.value());
-  }
-
-  QueryServiceOptions options;
-  options.num_threads = static_cast<size_t>(threads_arg);
-  options.queue_capacity = 256;
-  options.cache_capacity = static_cast<size_t>(cache_arg);
-
-  // Either one QueryService or a sharded fleet behind a router; the serving
-  // layer and the HTTP server are identical from here on.
-  std::unique_ptr<QueryService> service;
-  std::unique_ptr<shard::ShardedRouter> router;
-  std::unique_ptr<net::QueryServing> serving;
-  obs::MetricsRegistry* registry = nullptr;
-  net::QueryServing::Options serving_options;
-  if (shards_arg > 1 || replicas_arg > 1) {
-    shard::ShardedRouterOptions router_options;
-    router_options.num_shards = static_cast<size_t>(shards_arg);
-    router_options.num_replicas = static_cast<size_t>(replicas_arg);
-    router_options.shard_options = options;
-    router_options.hedge_ms = hedge_ms;
-    if (gather_slack_ms >= 0) router_options.gather_slack_ms = gather_slack_ms;
-    if (injector.has_value()) {
-      // Service-level chaos lands on one replica; wire faults (http_read)
-      // are armed on the server below regardless.
-      router_options.chaos_injector = &*injector;
-      router_options.chaos_shard = static_cast<size_t>(chaos_shard_arg);
-      router_options.chaos_replica = static_cast<size_t>(chaos_replica_arg);
-    }
-    router = std::make_unique<shard::ShardedRouter>(*db, router_options);
-    registry = &router->metrics();
-    serving_options.metrics = registry;
-    serving = std::make_unique<net::QueryServing>(router.get(),
-                                                  serving_options);
-  } else {
-    if (injector.has_value()) options.fault_injector = &*injector;
-    service = std::make_unique<QueryService>(*db, options);
-    registry = &service->metrics();
-    serving_options.metrics = registry;
-    serving = std::make_unique<net::QueryServing>(service.get(),
-                                                  serving_options);
-  }
-
-  net::HttpServerOptions server_options;
-  // --smoke binds an ephemeral port so CI runs never collide.
-  server_options.port = smoke ? 0 : static_cast<uint16_t>(port_arg);
-  server_options.num_threads = static_cast<size_t>(threads_arg);
-  server_options.metrics = registry;
-  if (injector.has_value()) server_options.fault_injector = &*injector;
-  net::HttpServer server(
-      [&serving](const net::HttpRequest& r) { return serving->Handle(r); },
-      server_options);
-  serving->set_server(&server);
-  if (Status s = server.Start(); !s.ok()) return Fail(s);
-  if (router != nullptr) {
-    std::printf("serving %zu graphs on http://127.0.0.1:%u across %zu shards"
-                " x %zu replicas%s  (GET /metrics, GET /healthz, POST "
-                "/query)\n",
-                db->size(), server.port(), router->num_shards(),
-                router->num_replicas(), hedge_ms > 0 ? " with hedging" : "");
-  } else {
-    std::printf("serving %zu graphs on http://127.0.0.1:%u  "
-                "(GET /metrics, GET /healthz, POST /query)\n",
-                db->size(), server.port());
-  }
-
-  if (smoke) {
-    // Hermetic self-drive: one request through each endpoint over a real
-    // loopback socket, then a graceful drain. Exit status is the check.
-    net::HttpClient client;
-    if (Status s = client.Connect("127.0.0.1", server.port()); !s.ok()) {
-      return Fail(s);
-    }
-    auto healthz = client.Roundtrip("GET", "/healthz");
-    if (!healthz.ok()) return Fail(healthz.status());
-    std::printf("smoke /healthz: %d %s\n", healthz.value().status,
-                healthz.value().body.c_str());
-    Graph pattern;
-    pattern.AddVertex(db->graphs()[0].VertexLabel(0));
-    auto query =
-        client.Roundtrip("POST", "/query", QueryBodyJson(pattern, 0));
-    if (!query.ok()) return Fail(query.status());
-    std::printf("smoke /query: %d %s\n", query.value().status,
-                query.value().body.c_str());
-    auto metrics = client.Roundtrip("GET", "/metrics");
-    if (!metrics.ok()) return Fail(metrics.status());
-    bool instrumented =
-        metrics.value().body.find("vqi_http_requests_total") !=
-        std::string::npos;
-    std::printf("smoke /metrics: %d (%zu bytes, vqi_http_requests_total %s)\n",
-                metrics.value().status, metrics.value().body.size(),
-                instrumented ? "present" : "MISSING");
-    bool sharded_ok = true;
-    if (router != nullptr) {
-      // Router mode must expose one labeled series per shard plus the
-      // router's own instruments, and /healthz must report the fleet. An
-      // unreplicated fleet keeps the bare {shard="i"} label shape.
-      const std::string last_shard_series =
-          router->num_replicas() == 1
-              ? "vqi_requests_admitted_total{shard=\"" +
-                    std::to_string(router->num_shards() - 1) + "\"}"
-              : "vqi_requests_admitted_total{shard=\"" +
-                    std::to_string(router->num_shards() - 1) +
-                    "\",replica=\"" +
-                    std::to_string(router->num_replicas() - 1) + "\"}";
-      sharded_ok =
-          metrics.value().body.find(last_shard_series) != std::string::npos &&
-          metrics.value().body.find("vqi_router_requests_total") !=
-              std::string::npos &&
-          healthz.value().body.find("shard_breakers") != std::string::npos;
-      std::printf("smoke shards: per-shard series + router instruments + "
-                  "fleet health %s\n",
-                  sharded_ok ? "present" : "MISSING");
-      if (router->num_replicas() > 1) {
-        // Replicated fleet: every replica gets its own pick counter and its
-        // own breaker entry in the fleet health view.
-        const std::string last_replica_series =
-            "vqi_replica_picks_total{shard=\"" +
-            std::to_string(router->num_shards() - 1) + "\",replica=\"" +
-            std::to_string(router->num_replicas() - 1) + "\"}";
-        const bool replicas_ok =
-            metrics.value().body.find(last_replica_series) !=
-                std::string::npos &&
-            healthz.value().body.find("\"replicas\"") != std::string::npos;
-        std::printf("smoke replicas: per-replica series + replica health %s\n",
-                    replicas_ok ? "present" : "MISSING");
-        sharded_ok = sharded_ok && replicas_ok;
-      }
-    }
-    server.Shutdown();
-    if (router != nullptr) {
-      router->Shutdown();
-    } else {
-      service->Shutdown();
-    }
-    bool pass = healthz.value().status == 200 &&
-                query.value().status == 200 && metrics.value().status == 200 &&
-                instrumented && sharded_ok;
-    std::printf("smoke: %s\n", pass ? "ok" : "FAILED");
-    return pass ? 0 : 1;
-  }
-
-  g_serve_stop.store(false);
-  std::signal(SIGINT, HandleServeSignal);
-  std::signal(SIGTERM, HandleServeSignal);
-  while (!g_serve_stop.load()) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-  std::printf("\nsignal received; draining (grace %.0fms)...\n",
-              server_options.drain_grace_ms);
-  server.Shutdown();
-  ServiceStats stats;
-  if (router != nullptr) {
-    router->Shutdown();
-    stats = router->AggregateSnapshot();
-  } else {
-    service->Shutdown();
-    stats = service->Snapshot();
-  }
-  std::printf("served %llu connections, %llu requests admitted, %llu shed\n",
-              static_cast<unsigned long long>(server.connections_accepted()),
-              static_cast<unsigned long long>(stats.admitted),
-              static_cast<unsigned long long>(stats.shed));
-  return 0;
-}
-
-int ServeBench(int argc, char** argv) {
-  // Flags may appear anywhere; everything else is positional. Every value is
-  // validated into a Status — a bad flag must never crash or misconfigure a
-  // long bench run.
-  std::string metrics_out;
-  std::string chaos_spec;
-  int64_t clients_arg = 1;
-  int64_t threads_arg = 4;
-  int64_t cache_arg = 1024;
-  int64_t shards_arg = 1;
-  int64_t replicas_arg = 1;
-  int64_t chaos_shard_arg = 0;
-  int64_t chaos_replica_arg = 0;
-  bool threads_flag_set = false;
-  double deadline_ms = 0;
-  double dup_ratio = 0;
-  double hedge_ms = 0;
-  // Negative sentinel: "flag absent, keep the router's default slack".
-  double gather_slack_ms = -1;
-  bool coalesce = false;
-  bool http_mode = false;
-  std::vector<char*> positional;
-  for (int i = 0; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--metrics-out=", 0) == 0) {
-      metrics_out = arg.substr(14);
-    } else if (arg == "--http") {
-      http_mode = true;
-    } else if (arg == "--coalesce") {
-      coalesce = true;
-    } else if (arg.rfind("--dup-ratio=", 0) == 0) {
-      if (Status s = ParseDoubleArg(arg.substr(12), "--dup-ratio", 0, 0.99,
-                                    &dup_ratio);
-          !s.ok()) {
-        return Fail(s);
-      }
-    } else if (arg.rfind("--cache=", 0) == 0) {
-      if (Status s = ParseCount(arg.substr(8), "--cache", 0, 1 << 20,
-                                &cache_arg);
-          !s.ok()) {
-        return Fail(s);
-      }
-    } else if (arg.rfind("--clients=", 0) == 0) {
-      if (Status s = ParseCount(arg.substr(10), "--clients", 1, 256,
-                                &clients_arg);
-          !s.ok()) {
-        return Fail(s);
-      }
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      if (Status s = ParseCount(arg.substr(10), "--threads", 1, 1024,
-                                &threads_arg);
-          !s.ok()) {
-        return Fail(s);
-      }
-      threads_flag_set = true;
-    } else if (arg.rfind("--deadline-ms=", 0) == 0) {
-      if (Status s = ParseDoubleArg(arg.substr(14), "--deadline-ms", 0, 1e9,
-                                    &deadline_ms);
-          !s.ok()) {
-        return Fail(s);
-      }
-    } else if (arg.rfind("--shards=", 0) == 0) {
-      if (Status s = ParseCount(arg.substr(9), "--shards", 1, 64, &shards_arg);
-          !s.ok()) {
-        return Fail(s);
-      }
-    } else if (arg.rfind("--replicas=", 0) == 0) {
-      if (Status s = ParseCount(arg.substr(11), "--replicas", 1, 64,
-                                &replicas_arg);
-          !s.ok()) {
-        return Fail(s);
-      }
-    } else if (arg.rfind("--hedge-ms=", 0) == 0) {
-      if (Status s = ParseDoubleArg(arg.substr(11), "--hedge-ms", 0, 1e6,
-                                    &hedge_ms);
-          !s.ok()) {
-        return Fail(s);
-      }
-    } else if (arg.rfind("--gather-slack-ms=", 0) == 0) {
-      if (Status s = ParseDoubleArg(arg.substr(18), "--gather-slack-ms", 0,
-                                    1e6, &gather_slack_ms);
-          !s.ok()) {
-        return Fail(s);
-      }
-    } else if (arg.rfind("--chaos-shard=", 0) == 0) {
-      if (Status s = ParseCount(arg.substr(14), "--chaos-shard", 0, 63,
-                                &chaos_shard_arg);
-          !s.ok()) {
-        return Fail(s);
-      }
-    } else if (arg.rfind("--chaos-replica=", 0) == 0) {
-      if (Status s = ParseCount(arg.substr(16), "--chaos-replica", 0, 63,
-                                &chaos_replica_arg);
-          !s.ok()) {
-        return Fail(s);
-      }
-    } else if (arg.rfind("--chaos=", 0) == 0) {
-      chaos_spec = arg.substr(8);
-      if (chaos_spec.empty()) {
-        return Fail(Status::InvalidArgument(
-            "--chaos: empty spec (see docs/resilience.md for the grammar)"));
-      }
-    } else if (arg.rfind("--", 0) == 0) {
-      std::fprintf(stderr, "error: unknown flag '%s'\n", argv[i]);
-      return Usage();
-    } else {
-      positional.push_back(argv[i]);
-    }
-  }
-  if (positional.size() < 1 || positional.size() > 4) return Usage();
-  auto db = io::LoadDatabase(positional[0]);
-  if (!db.ok()) return Fail(db.status());
-  if (db->empty()) return Fail(Status::InvalidArgument("input has no graphs"));
-
-  int64_t queries_arg = 40;
-  int64_t repeat_arg = 3;
-  if (positional.size() >= 2) {
-    if (Status s = ParseCount(positional[1], "queries", 1, 1000000,
-                              &queries_arg);
-        !s.ok()) {
-      return Fail(s);
-    }
-  }
-  if (positional.size() >= 3) {
-    if (threads_flag_set) {
-      return Fail(Status::InvalidArgument(
-          "threads given both positionally and via --threads"));
-    }
-    if (Status s = ParseCount(positional[2], "threads", 1, 1024, &threads_arg);
-        !s.ok()) {
-      return Fail(s);
-    }
-  }
-  if (positional.size() >= 4) {
-    if (Status s = ParseCount(positional[3], "repeat", 1, 1000000,
-                              &repeat_arg);
-        !s.ok()) {
-      return Fail(s);
-    }
-  }
-  WorkloadConfig wconfig;
-  wconfig.num_queries = static_cast<size_t>(queries_arg);
-  size_t threads = static_cast<size_t>(threads_arg);
-  size_t repeat = static_cast<size_t>(repeat_arg);
-  size_t clients = static_cast<size_t>(clients_arg);
-  std::vector<Graph> queries = GenerateDbWorkload(*db, wconfig);
-  size_t distinct_queries = queries.size();
-  if (dup_ratio > 0) {
-    // Expand so a fraction `dup_ratio` of the stream are duplicates of an
-    // earlier query, interleaved (q0..qN, q0..qN, ...) so the copies are in
-    // flight together — the burst shape single-flight coalescing targets.
-    size_t total = static_cast<size_t>(
-        static_cast<double>(distinct_queries) / (1.0 - dup_ratio) + 0.5);
-    std::vector<Graph> expanded;
-    expanded.reserve(total);
-    for (size_t i = 0; i < total; ++i) {
-      expanded.push_back(queries[i % distinct_queries]);
-    }
-    queries = std::move(expanded);
-  }
-
-  if (shards_arg > 1 || replicas_arg > 1) {
-    if (http_mode) {
-      return Fail(Status::InvalidArgument(
-          "--shards/--replicas and --http are mutually exclusive; bench one "
-          "serving stack at a time"));
-    }
-    if (chaos_shard_arg >= shards_arg) {
-      return Fail(Status::InvalidArgument(
-          "--chaos-shard must name one of the --shards shards"));
-    }
-    if (chaos_replica_arg >= replicas_arg) {
-      return Fail(Status::InvalidArgument(
-          "--chaos-replica must name one of the --replicas replicas"));
-    }
-    return RunShardBench(*db, queries, distinct_queries, repeat, clients,
-                         threads, deadline_ms, cache_arg, coalesce, chaos_spec,
-                         metrics_out, static_cast<size_t>(shards_arg),
-                         static_cast<size_t>(replicas_arg), hedge_ms,
-                         gather_slack_ms, static_cast<size_t>(chaos_shard_arg),
-                         static_cast<size_t>(chaos_replica_arg));
-  }
-
-  if (http_mode) {
-    return RunHttpBench(*db, queries, distinct_queries, repeat, clients,
-                        threads, deadline_ms, cache_arg, coalesce, chaos_spec,
-                        metrics_out);
-  }
-
-  std::optional<resilience::FaultInjector> injector;
-  if (!chaos_spec.empty()) {
-    auto plan = resilience::FaultInjector::ParseChaosSpec(chaos_spec);
-    if (!plan.ok()) return Fail(plan.status());
-    injector.emplace(plan.value());
-  }
-
-  QueryServiceOptions options;
-  options.num_threads = threads;
-  options.queue_capacity = 512;
-  options.cache_capacity = static_cast<size_t>(cache_arg);
-  options.enable_coalescing = coalesce;
-  if (injector.has_value()) options.fault_injector = &*injector;
-  QueryService service(*db, options);
-
-  Stopwatch timer;
-  std::vector<ClientOutcome> outcomes(clients);
-  std::vector<ChaosOutcome> chaos_outcomes(clients);
-  std::vector<std::unique_ptr<resilience::ServiceClient>> chaos_clients;
-  if (injector.has_value()) {
-    // Chaos mode: each bench client gets its own resilient wrapper (its own
-    // breaker and retry budget), labeled in the metrics by client id.
-    for (size_t c = 0; c < clients; ++c) {
-      resilience::ServiceClientOptions client_options;
-      client_options.metric_label = std::to_string(c);
-      chaos_clients.push_back(std::make_unique<resilience::ServiceClient>(
-          service, client_options));
-    }
-  }
-  auto run_client = [&](size_t c) {
-    if (injector.has_value()) {
-      RunChaosClient(*chaos_clients[c], queries, repeat, c, clients,
-                     deadline_ms, &chaos_outcomes[c]);
-    } else {
-      RunBenchClient(service, queries, repeat, c, clients, deadline_ms,
-                     &outcomes[c]);
-    }
-  };
-  if (clients == 1) {
-    run_client(0);
-  } else {
-    std::vector<std::thread> workers;
-    workers.reserve(clients);
-    for (size_t c = 0; c < clients; ++c) {
-      workers.emplace_back([&run_client, c] { run_client(c); });
-    }
-    for (auto& w : workers) w.join();
-  }
-  double seconds = timer.ElapsedSeconds();
-
-  uint64_t total_completed = 0;
-  for (const ClientOutcome& o : outcomes) total_completed += o.completed;
-  for (const ChaosOutcome& o : chaos_outcomes) total_completed += o.total();
-
+// The in-process service's view of the run: queueing, admission, cache,
+// backend work, and what the resilient clients absorbed under chaos.
+void PrintServiceReport(QueryService& service, const Run& run,
+                        const std::vector<std::unique_ptr<
+                            resilience::ServiceClient>>& resilient,
+                        bool coalesce, bool degraded, bool pipelined) {
   ServiceStats stats = service.Snapshot();
-  std::printf("replayed %llu requests (%zu distinct queries x %zu rounds, "
-              "%zu clients) on %zu threads in %.3fs\n",
-              static_cast<unsigned long long>(total_completed),
-              distinct_queries, repeat, clients, threads, seconds);
-  if (dup_ratio > 0) {
-    std::printf("workload:    dup-ratio %.2f (%zu requests per round, "
-                "coalescing %s)\n",
-                dup_ratio, queries.size(), coalesce ? "on" : "off");
-  }
-  std::printf("throughput:  %.0f queries/s\n",
-              static_cast<double>(total_completed) / seconds);
-  std::printf("latency:     p50 %.3fms  p99 %.3fms\n", stats.p50_latency_ms,
-              stats.p99_latency_ms);
   obs::HistogramSnapshot queue_wait =
       service.metrics()
           .GetHistogram("vqi_pool_queue_wait_ms", "",
@@ -1596,44 +957,17 @@ int ServeBench(int argc, char** argv) {
                 static_cast<unsigned long long>(stats.coalesce_waiters),
                 static_cast<unsigned long long>(stats.coalesce_fanout));
   }
-  if (injector.has_value()) {
-    // Resilience summary: what the chaos layer injected and how the client
-    // stack (retries, budget, breaker, partial results) absorbed it.
-    std::printf("chaos:       spec '%s' (seed %llu)\n", chaos_spec.c_str(),
-                static_cast<unsigned long long>(injector->seed()));
-    for (size_t p = 0; p < resilience::kNumFaultPoints; ++p) {
-      auto point = static_cast<resilience::FaultPoint>(p);
-      uint64_t errors = injector->InjectedErrors(point);
-      uint64_t latencies = injector->InjectedLatencies(point);
-      uint64_t drops = injector->InjectedDrops(point);
-      if (errors + latencies + drops == 0) continue;
-      std::printf("  %-11s %llu errors, %llu latencies, %llu drops\n",
-                  resilience::FaultPointName(point),
-                  static_cast<unsigned long long>(errors),
-                  static_cast<unsigned long long>(latencies),
-                  static_cast<unsigned long long>(drops));
-    }
+  if (!resilient.empty()) {
     resilience::ClientStats totals;
     uint64_t opened = 0;
-    for (const auto& client : chaos_clients) {
+    for (const auto& client : resilient) {
       resilience::ClientStats s = client->stats();
       totals.requests += s.requests;
       totals.attempts += s.attempts;
       totals.retries += s.retries;
-      totals.ok += s.ok;
-      totals.failed += s.failed;
       totals.budget_denied += s.budget_denied;
       totals.breaker_rejected += s.breaker_rejected;
       opened += client->breaker().TimesOpened();
-    }
-    ChaosOutcome tally;
-    for (const ChaosOutcome& o : chaos_outcomes) {
-      tally.ok += o.ok;
-      tally.truncated += o.truncated;
-      tally.unavailable += o.unavailable;
-      tally.internal_error += o.internal_error;
-      tally.deadline_exceeded += o.deadline_exceeded;
-      tally.other += o.other;
     }
     std::printf("resilience:  %llu attempts for %llu requests "
                 "(amplification %.3f), %llu retries, %llu budget-denied\n",
@@ -1645,48 +979,487 @@ int ServeBench(int argc, char** argv) {
     std::printf("breaker:     opened %llu times, fast-failed %llu requests\n",
                 static_cast<unsigned long long>(opened),
                 static_cast<unsigned long long>(totals.breaker_rejected));
-    double availability =
-        tally.total() == 0
-            ? 0.0
-            : 100.0 * static_cast<double>(tally.ok) /
-                  static_cast<double>(tally.total());
-    std::printf("availability: %.1f%% ok (%llu truncated partials; "
-                "%llu unavailable, %llu internal, %llu deadline-exceeded)\n",
-                availability,
-                static_cast<unsigned long long>(tally.truncated),
-                static_cast<unsigned long long>(tally.unavailable),
-                static_cast<unsigned long long>(tally.internal_error),
-                static_cast<unsigned long long>(tally.deadline_exceeded));
+  }
+  if (degraded) {
     std::printf("degradation: %llu shed by priority, %llu truncated answers "
                 "served\n",
                 static_cast<unsigned long long>(stats.shed),
                 static_cast<unsigned long long>(stats.truncated));
   }
-  if (clients > 1 && !injector.has_value()) {
+  if (pipelined && run.clients.size() > 1) {
     std::printf("per-client reject rates:\n");
-    for (size_t c = 0; c < clients; ++c) {
-      const ClientOutcome& o = outcomes[c];
-      double rate = o.attempts == 0
-                        ? 0.0
-                        : static_cast<double>(o.rejected) /
-                              static_cast<double>(o.attempts);
+    for (size_t c = 0; c < run.clients.size(); ++c) {
+      const Tally& t = run.clients[c];
       std::printf("  client %zu: %llu completed, %llu/%llu submits rejected "
                   "(%.1f%%)\n",
-                  c, static_cast<unsigned long long>(o.completed),
-                  static_cast<unsigned long long>(o.rejected),
-                  static_cast<unsigned long long>(o.attempts), 100.0 * rate);
+                  c, static_cast<unsigned long long>(t.answers()),
+                  static_cast<unsigned long long>(t.refused),
+                  static_cast<unsigned long long>(t.attempts),
+                  t.attempts == 0 ? 0.0
+                                  : 100.0 * static_cast<double>(t.refused) /
+                                        static_cast<double>(t.attempts));
     }
   }
   std::printf("traces:      %llu recorded, last %zu retained\n",
               static_cast<unsigned long long>(service.traces().total_recorded()),
               service.traces().Recent().size());
+}
+
+// The router's view of the run: placement, fan-out, hedging, failover and
+// every shard's and replica's tally.
+void PrintRouterReport(shard::ShardedRouter& router, const StackFlags& flags,
+                       bool degraded) {
+  shard::RouterStats stats = router.Snapshot();
+  const size_t replicas = router.num_replicas();
+  const bool chaos = flags.chaos_plan.has_value();
+  std::printf("placement:   %s (",
+              shard::ShardPlacementName(router.shard_map().placement()));
+  for (size_t i = 0; i < router.num_shards(); ++i) {
+    std::printf("%s%zu", i == 0 ? "" : "/", router.shard_map().Members(i).size());
+  }
+  std::printf(" graphs per shard), %llu routed, %llu fanned out\n",
+              static_cast<unsigned long long>(stats.requests),
+              static_cast<unsigned long long>(stats.fanouts));
+  if (flags.hedge_ms.value_or(0) > 0) {
+    std::printf("hedging:     %llu fired, %llu won, %llu denied "
+                "(trigger max(%.1fms, p%.0f))\n",
+                static_cast<unsigned long long>(stats.hedges_fired),
+                static_cast<unsigned long long>(stats.hedges_won),
+                static_cast<unsigned long long>(stats.hedges_denied),
+                *flags.hedge_ms,
+                100 * shard::ShardedRouterOptions().hedge_quantile);
+    if (replicas > 1) {
+      std::printf("             %llu cross-replica fired, %llu won\n",
+                  static_cast<unsigned long long>(stats.cross_hedges_fired),
+                  static_cast<unsigned long long>(stats.cross_hedges_won));
+    }
+  }
+  if (replicas > 1) {
+    std::printf("replication: %llu failovers, %llu all-replicas-down "
+                "dispatches\n",
+                static_cast<unsigned long long>(stats.failovers),
+                static_cast<unsigned long long>(stats.all_replicas_down));
+  }
+  std::printf("per-shard leg tallies:\n");
+  for (size_t i = 0; i < stats.shards.size(); ++i) {
+    const bool chaos_shard =
+        chaos && i == static_cast<size_t>(flags.chaos_shard);
+    std::printf("  shard %zu: %llu legs, %llu errors", i,
+                static_cast<unsigned long long>(stats.shards[i].requests),
+                static_cast<unsigned long long>(stats.shards[i].errors));
+    if (replicas == 1) {
+      std::printf(
+          ", breaker %s%s\n",
+          resilience::BreakerStateName(router.client(i).breaker_state()),
+          chaos_shard ? "  <- chaos" : "");
+      continue;
+    }
+    std::printf("\n");
+    for (size_t r = 0; r < replicas; ++r) {
+      std::printf("    replica %zu: %llu picks, %llu errors, breaker %s%s\n", r,
+                  static_cast<unsigned long long>(stats.replica_picks[i][r]),
+                  static_cast<unsigned long long>(stats.replica_errors[i][r]),
+                  resilience::BreakerStateName(
+                      router.client(i, r).breaker_state()),
+                  chaos_shard && r == static_cast<size_t>(flags.chaos_replica)
+                      ? "  <- chaos"
+                      : "");
+    }
+  }
+  if (degraded) {
+    std::printf("degradation: %llu merged partials, %llu gather timeouts\n",
+                static_cast<unsigned long long>(stats.partials),
+                static_cast<unsigned long long>(stats.gather_timeouts));
+  }
+}
+
+// SIGINT/SIGTERM flip this; the serve loop polls it and drains. Signal-safe:
+// handlers may only touch lock-free atomics.
+std::atomic<bool> g_serve_stop{false};
+
+void HandleServeSignal(int) { g_serve_stop.store(true); }
+
+// `serve --smoke`: one request through each endpoint over a real loopback
+// socket, then a graceful drain. The exit status is the check.
+int Smoke(Stack& stack, HttpFront& front, const GraphDatabase& db) {
+  net::HttpClient client;
+  if (Status s = client.Connect("127.0.0.1", front.port()); !s.ok()) {
+    return Fail(s);
+  }
+  auto healthz = client.Roundtrip("GET", "/healthz");
+  if (!healthz.ok()) return Fail(healthz.status());
+  std::printf("smoke /healthz: %d %s\n", healthz.value().status,
+              healthz.value().body.c_str());
+  QueryRequest request;
+  request.pattern.AddVertex(db.graphs()[0].VertexLabel(0));
+  request.max_embeddings = 2000;
+  auto query = client.Roundtrip("POST", "/query", QueryBodyJson(request));
+  if (!query.ok()) return Fail(query.status());
+  std::printf("smoke /query: %d %s\n", query.value().status,
+              query.value().body.c_str());
+  auto metrics = client.Roundtrip("GET", "/metrics");
+  if (!metrics.ok()) return Fail(metrics.status());
+  bool instrumented =
+      metrics.value().body.find("vqi_http_requests_total") != std::string::npos;
+  std::printf("smoke /metrics: %d (%zu bytes, vqi_http_requests_total %s)\n",
+              metrics.value().status, metrics.value().body.size(),
+              instrumented ? "present" : "MISSING");
+  client.Close();  // the drain below then has no connection to wait out
+  bool sharded_ok = true;
+  if (shard::ShardedRouter* router = stack.router(); router != nullptr) {
+    // Router mode must expose one labeled series per shard plus the
+    // router's own instruments, and /healthz must report the fleet. An
+    // unreplicated fleet keeps the bare {shard="i"} label shape.
+    const std::string last_shard = std::to_string(router->num_shards() - 1);
+    const std::string last_replica =
+        std::to_string(router->num_replicas() - 1);
+    const std::string last_shard_series =
+        router->num_replicas() == 1
+            ? "vqi_requests_admitted_total{shard=\"" + last_shard + "\"}"
+            : "vqi_requests_admitted_total{shard=\"" + last_shard +
+                  "\",replica=\"" + last_replica + "\"}";
+    sharded_ok =
+        metrics.value().body.find(last_shard_series) != std::string::npos &&
+        metrics.value().body.find("vqi_router_requests_total") !=
+            std::string::npos &&
+        healthz.value().body.find("shard_breakers") != std::string::npos;
+    std::printf("smoke shards: per-shard series + router instruments + "
+                "fleet health %s\n",
+                sharded_ok ? "present" : "MISSING");
+    if (router->num_replicas() > 1) {
+      // Replicated fleet: every replica gets its own pick counter and its
+      // own breaker entry in the fleet health view.
+      const std::string last_replica_series =
+          "vqi_replica_picks_total{shard=\"" + last_shard + "\",replica=\"" +
+          last_replica + "\"}";
+      const bool replicas_ok =
+          metrics.value().body.find(last_replica_series) !=
+              std::string::npos &&
+          healthz.value().body.find("\"replicas\"") != std::string::npos;
+      std::printf("smoke replicas: per-replica series + replica health %s\n",
+                  replicas_ok ? "present" : "MISSING");
+      sharded_ok = sharded_ok && replicas_ok;
+    }
+  }
+  front.Shutdown();
+  stack.Shutdown();
+  bool pass = healthz.value().status == 200 && query.value().status == 200 &&
+              metrics.value().status == 200 && instrumented && sharded_ok;
+  std::printf("smoke: %s\n", pass ? "ok" : "FAILED");
+  return pass ? 0 : 1;
+}
+
+int Serve(int argc, char** argv) {
+  StackFlags flags;
+  int64_t port = 8080;
+  bool smoke = false;
+  std::vector<char*> positional;
+  const OwnFlags own = [&](const std::string& arg) -> std::optional<Status> {
+    std::string value;
+    if (arg == "--smoke") {
+      smoke = true;
+      return Status::OK();
+    }
+    if (FlagValue(arg, "--port", &value)) {
+      return ParseCount(value, "--port", 0, 65535, &port);
+    }
+    return std::nullopt;
+  };
+  if (int code = ParseCommandLine(argc, argv, own, &flags, &positional);
+      code != 0) {
+    return code;
+  }
+  if (positional.size() != 1) return Usage();
+  auto db = io::LoadDatabase(positional[0]);
+  if (!db.ok()) return Fail(db.status());
+  if (db->empty()) return Fail(Status::InvalidArgument("input has no graphs"));
+
+  QueryServiceOptions options;
+  options.queue_capacity = 256;
+  Stack stack(*db, flags, options);
+  // --smoke binds an ephemeral port so CI runs never collide.
+  HttpFront front(stack, smoke ? 0 : static_cast<uint16_t>(port),
+                  static_cast<size_t>(flags.threads));
+  if (Status s = front.Start(); !s.ok()) return Fail(s);
+  std::printf("serving %zu graphs on http://127.0.0.1:%u, %s%s  (GET "
+              "/metrics, GET /healthz, POST /query)\n",
+              db->size(), front.port(), stack.Describe().c_str(),
+              flags.hedge_ms.value_or(0) > 0 ? " with hedging" : "");
+  if (smoke) return Smoke(stack, front, *db);
+
+  g_serve_stop.store(false);
+  std::signal(SIGINT, HandleServeSignal);
+  std::signal(SIGTERM, HandleServeSignal);
+  while (!g_serve_stop.load()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+  std::printf("\nsignal received; draining (grace %.0fms)...\n",
+              net::HttpServerOptions().drain_grace_ms);
+  front.Shutdown();
+  stack.Shutdown();
+  ServiceStats stats = stack.Stats();
+  std::printf("served %llu connections, %llu requests admitted, %llu shed\n",
+              static_cast<unsigned long long>(
+                  front.server().connections_accepted()),
+              static_cast<unsigned long long>(stats.admitted),
+              static_cast<unsigned long long>(stats.shed));
+  return 0;
+}
+
+int ServeBench(int argc, char** argv) {
+  StackFlags flags;
+  int64_t clients_arg = 1;
+  double deadline_ms = 0;
+  double dup_ratio = 0;
+  bool coalesce = false;
+  bool http = false;
+  std::string metrics_out;
+  std::vector<char*> positional;
+  const OwnFlags own = [&](const std::string& arg) -> std::optional<Status> {
+    std::string value;
+    if (arg == "--http") {
+      http = true;
+      return Status::OK();
+    }
+    if (arg == "--coalesce") {
+      coalesce = true;
+      return Status::OK();
+    }
+    if (FlagValue(arg, "--clients", &value)) {
+      return ParseCount(value, "--clients", 1, 256, &clients_arg);
+    }
+    if (FlagValue(arg, "--deadline-ms", &value)) {
+      return ParseDoubleArg(value, "--deadline-ms", 0, 1e9, &deadline_ms);
+    }
+    if (FlagValue(arg, "--dup-ratio", &value)) {
+      return ParseDoubleArg(value, "--dup-ratio", 0, 0.99, &dup_ratio);
+    }
+    if (FlagValue(arg, "--metrics-out", &value)) {
+      metrics_out = value;
+      return value.empty()
+                 ? Status::InvalidArgument("--metrics-out: empty path")
+                 : Status::OK();
+    }
+    return std::nullopt;
+  };
+  if (int code = ParseCommandLine(argc, argv, own, &flags, &positional);
+      code != 0) {
+    return code;
+  }
+  if (positional.empty() || positional.size() > 4) return Usage();
+  auto db = io::LoadDatabase(positional[0]);
+  if (!db.ok()) return Fail(db.status());
+  if (db->empty()) return Fail(Status::InvalidArgument("input has no graphs"));
+  int64_t queries_arg = 40;
+  int64_t repeat_arg = 3;
+  if (positional.size() >= 2) {
+    if (Status s = ParseCount(positional[1], "queries", 1, 1000000,
+                              &queries_arg);
+        !s.ok()) {
+      return Fail(s);
+    }
+  }
+  if (positional.size() >= 3) {
+    if (flags.threads_set) {
+      return Fail(Status::InvalidArgument(
+          "threads given both positionally and via --threads"));
+    }
+    if (Status s = ParseCount(positional[2], "threads", 1, 1024,
+                              &flags.threads);
+        !s.ok()) {
+      return Fail(s);
+    }
+  }
+  if (positional.size() >= 4) {
+    if (Status s = ParseCount(positional[3], "repeat", 1, 1000000,
+                              &repeat_arg);
+        !s.ok()) {
+      return Fail(s);
+    }
+  }
+
+  const bool chaos = flags.chaos_plan.has_value();
+  Replay replay;
+  WorkloadConfig wconfig;
+  wconfig.num_queries = static_cast<size_t>(queries_arg);
+  replay.queries = GenerateDbWorkload(*db, wconfig);
+  replay.distinct = replay.queries.size();
+  if (dup_ratio > 0) {
+    // Expand so a fraction `dup_ratio` of the stream are duplicates of an
+    // earlier query, interleaved (q0..qN, q0..qN, ...) so the copies are in
+    // flight together — the burst shape single-flight coalescing targets.
+    size_t total = static_cast<size_t>(
+        static_cast<double>(replay.distinct) / (1.0 - dup_ratio) + 0.5);
+    for (size_t i = replay.distinct; i < total; ++i) {
+      replay.queries.push_back(replay.queries[i % replay.distinct]);
+    }
+  }
+  replay.repeat = static_cast<size_t>(repeat_arg);
+  replay.clients = static_cast<size_t>(clients_arg);
+  replay.deadline_ms = deadline_ms;
+  replay.allow_partial = chaos || deadline_ms > 0;
+
+  QueryServiceOptions options;
+  options.queue_capacity = 512;
+  options.enable_coalescing = coalesce;
+  // Without chaos or a deadline every answer must equal one unsharded,
+  // uncached service's, byte for byte: cache hits, coalesced waiters,
+  // merged shards and wire round trips alike.
+  const bool verify = !replay.allow_partial;
+  if (verify) {
+    QueryServiceOptions reference_options = options;
+    reference_options.cache_capacity = 0;
+    QueryService reference(*db, reference_options);
+    for (size_t qi = 0; qi < replay.distinct; ++qi) {
+      replay.expected.push_back(
+          net::QueryResultContentJson(reference.Execute(replay.Request(qi)))
+              .Dump());
+    }
+  }
+
+  // --http runs the replay twice: in-process on a twin stack, then over
+  // loopback HTTP in front of a fresh one; the difference is the wire.
+  Run in_process;
+  if (http) {
+    Stack twin(*db, flags, options);
+    in_process = RunReplay(replay, [&twin](size_t) { return InProcess(twin); });
+    twin.Shutdown();
+  }
+  Stack stack(*db, flags, options);
+  std::optional<HttpFront> front;
+  if (http) {
+    front.emplace(stack, 0, static_cast<size_t>(flags.threads));
+    if (Status s = front->Start(); !s.ok()) return Fail(s);
+  }
+  // Chaos on one in-process service: every client drives its stripe
+  // through its own resilient ServiceClient (breaker + budgeted retries),
+  // labeled in the metrics by client id.
+  std::vector<std::unique_ptr<resilience::ServiceClient>> resilient;
+  if (!http && chaos && stack.service() != nullptr) {
+    for (size_t c = 0; c < replay.clients; ++c) {
+      resilience::ServiceClientOptions client_options;
+      client_options.metric_label = std::to_string(c);
+      resilient.push_back(std::make_unique<resilience::ServiceClient>(
+          *stack.service(), client_options));
+    }
+  }
+  const bool pipelined = !http && !chaos && stack.service() != nullptr;
+  auto start_for = [&](size_t c) -> StartFn {
+    if (front.has_value()) return OverHttp(front->port());
+    if (!resilient.empty()) {
+      return ClosedLoop([client = resilient[c].get()](QueryRequest request) {
+        return client->Execute(std::move(request));
+      });
+    }
+    return pipelined ? Pipelined(*stack.service()) : InProcess(stack);
+  };
+
+  // Scrapes poll during the load, or under chaos once after it, so that
+  // their http_read draws come after every request's and the tallies stay a
+  // function of the seed.
+  Scrapes scrapes;
+  std::atomic<bool> done{false};
+  std::thread scraper;
+  if (http && !chaos) {
+    scraper = std::thread([&] {
+      net::HttpClient probe;
+      do {
+        scrapes.Once(probe, front->port());
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      } while (!done.load(std::memory_order_relaxed));
+    });
+  }
+  Run run = RunReplay(replay, start_for);
+  done.store(true, std::memory_order_relaxed);
+  if (scraper.joinable()) scraper.join();
+  if (http && chaos) {
+    // The probe draws http_read faults too, so give it a few attempts.
+    net::HttpClient probe;
+    for (int attempt = 0; attempt < 5 && !scrapes.answered(); ++attempt) {
+      scrapes.Once(probe, front->port());
+    }
+  }
+  if (front.has_value()) front->Shutdown();
+  stack.Shutdown();
+
+  const Tally& total = run.total;
+  std::printf("replayed %llu requests (%zu distinct queries x %zu rounds, "
+              "%zu clients) %s %s\n",
+              static_cast<unsigned long long>(total.answers()), replay.distinct,
+              replay.repeat, replay.clients, http ? "over HTTP into" : "on",
+              stack.Describe().c_str());
+  if (dup_ratio > 0) {
+    std::printf("workload:    dup-ratio %.2f (%zu requests per round, "
+                "coalescing %s)\n",
+                dup_ratio, replay.queries.size(), coalesce ? "on" : "off");
+  }
+  std::printf("throughput:  %.0f queries/s (%.3fs)",
+              total.answers() / run.seconds, run.seconds);
+  if (http) {
+    std::printf(" over HTTP, %.0f queries/s (%.3fs) in-process",
+                in_process.total.answers() / in_process.seconds,
+                in_process.seconds);
+  }
+  std::printf("\n");
+  const std::vector<double>& latencies = total.latencies_ms;
+  std::printf("latency:     p50 %.3fms  p99 %.3fms%s\n",
+              Quantile(latencies, 0.50), Quantile(latencies, 0.99),
+              http ? " over HTTP" : "");
+  if (http) {
+    const std::vector<double>& direct = in_process.total.latencies_ms;
+    std::printf("latency:     p50 %.3fms  p99 %.3fms in-process\n",
+                Quantile(direct, 0.50), Quantile(direct, 0.99));
+    std::printf("latency:     p50 %+.3fms  p99 %+.3fms wire overhead\n",
+                Quantile(latencies, 0.50) - Quantile(direct, 0.50),
+                Quantile(latencies, 0.99) - Quantile(direct, 0.99));
+  }
+  if (verify) {
+    std::printf("content:     %llu/%llu answers byte-identical to the "
+                "single-service reference",
+                static_cast<unsigned long long>(total.matches),
+                static_cast<unsigned long long>(total.answers()));
+    if (http) {
+      std::printf(" (in-process %llu/%llu)",
+                  static_cast<unsigned long long>(in_process.total.matches),
+                  static_cast<unsigned long long>(in_process.total.answers()));
+    }
+    std::printf("\n");
+  } else {
+    std::printf("availability: %.1f%% ok (%llu truncated partials; "
+                "%llu unavailable, %llu internal, %llu deadline-exceeded)\n",
+                total.answers() == 0 ? 0.0 : 100.0 * total.ok / total.answers(),
+                static_cast<unsigned long long>(total.truncated),
+                static_cast<unsigned long long>(total.unavailable),
+                static_cast<unsigned long long>(total.internal),
+                static_cast<unsigned long long>(total.deadline_exceeded));
+  }
+  if (chaos) PrintChaos(stack, flags);
+  if (stack.router() != nullptr) {
+    PrintRouterReport(*stack.router(), flags, !verify);
+  } else {
+    PrintServiceReport(*stack.service(), run, resilient, coalesce, !verify,
+                       pipelined);
+  }
+  if (http) {
+    std::printf("scrapes:     /metrics %llu ok, /healthz %llu ok, %llu "
+                "failures%s\n",
+                static_cast<unsigned long long>(scrapes.metrics_ok),
+                static_cast<unsigned long long>(scrapes.healthz_ok),
+                static_cast<unsigned long long>(scrapes.failures),
+                chaos ? " (post-load under chaos)" : "");
+  }
   if (!metrics_out.empty()) {
-    if (Status s = obs::WritePrometheusFile(service.metrics(), metrics_out);
+    if (Status s = obs::WritePrometheusFile(stack.metrics(), metrics_out);
         !s.ok()) {
       return Fail(s);
     }
     std::printf("metrics:     wrote Prometheus snapshot to %s\n",
                 metrics_out.c_str());
+  }
+  if (total.mismatches + in_process.total.mismatches > 0) return 1;
+  if (http && !scrapes.answered()) {
+    std::fprintf(stderr, "error: observability endpoints never answered\n");
+    return 1;
   }
   return 0;
 }
