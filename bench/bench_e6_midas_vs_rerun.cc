@@ -7,9 +7,16 @@
 // a batch-size sweep, plus the pattern-set score before/after maintenance
 // on the updated database. Expected shape: maintenance is several times
 // cheaper than rerun at small batches (the common daily-update case), and
-// score_after >= score_before on every row.
+// score_after >= score_before on every row. Every row's drift kind, rescanned
+// graphs and scores are deterministic, so this bench pins them: they must
+// equal the committed EXPERIMENTS.md E6 figures, and the binary exits non-zero
+// otherwise (ctest runs it under the `bench_smoke` label). Wall times are
+// printed for the record only.
 
 #include <benchmark/benchmark.h>
+
+#include <iterator>
+#include <string>
 
 #include "bench_util.h"
 #include "common/stopwatch.h"
@@ -53,18 +60,35 @@ BatchUpdate MakeBatch(const GraphDatabase& db, double fraction,
   return update;
 }
 
-void RunExperiment() {
+// One batch of the sweep, with its drift kind, rescanned graphs and score
+// before -> after as committed in EXPERIMENTS.md §E6.
+struct Row {
+  double fraction;
+  bool different;  // structurally different batch -> expect major drift
+  const char* kind;
+  const char* rescanned;
+  const char* score_before;
+  const char* score_after;
+};
+constexpr Row kRows[] = {
+    {0.05, false, "minor", "20", "0.771", "0.771"},
+    {0.10, false, "minor", "40", "0.761", "0.761"},
+    {0.20, false, "minor", "80", "0.783", "0.783"},
+    {0.40, false, "minor", "160", "0.781", "0.781"},
+    {0.10, true, "major", "40", "0.761", "0.789"},
+    {0.20, true, "major", "80", "0.741", "0.778"},
+};
+
+// Prints the table; returns the number of rows whose kind, rescanned count
+// or scores moved (a failed run counts as moved).
+size_t RunExperiment() {
   bench::Table table(
       "E6: maintenance (MIDAS) vs full recomputation (CATAPULT rerun)",
       {"batch size", "drift", "kind", "rescanned", "maintain (s)", "rerun (s)",
        "speedup", "score before", "score after", "cov before", "cov after"});
 
-  struct Row {
-    double fraction;
-    bool different;  // structurally different batch -> expect major drift
-  };
-  for (Row row : {Row{0.05, false}, Row{0.10, false}, Row{0.20, false},
-                  Row{0.40, false}, Row{0.10, true}, Row{0.20, true}}) {
+  size_t matched_rows = 0;
+  for (const Row& row : kRows) {
     double fraction = row.fraction;
     // Fresh database + state per row so batches are independent.
     GraphDatabase db =
@@ -87,22 +111,34 @@ void RunExperiment() {
     double rerun_seconds = rerun_watch.ElapsedSeconds();
     if (!rerun.ok()) continue;
 
+    const std::string kind = ModificationTypeName(report->drift.type);
+    const std::string rescanned = std::to_string(report->graphs_rescanned);
+    const std::string score_before = bench::Fmt(report->score_before);
+    const std::string score_after = bench::Fmt(report->score_after);
+    if (kind == row.kind && rescanned == row.rescanned &&
+        score_before == row.score_before && score_after == row.score_after) {
+      ++matched_rows;
+    }
     table.AddRow(
         {std::to_string(batch_graphs) + " (" +
              bench::Fmt(100 * fraction, 0) +
              (row.different ? "%, drifting)" : "%)"),
-         bench::Fmt(report->drift.distance, 4),
-         ModificationTypeName(report->drift.type),
-         std::to_string(report->graphs_rescanned),
+         bench::Fmt(report->drift.distance, 4), bench::PinCell(kind, row.kind),
+         bench::PinCell(rescanned, row.rescanned),
          bench::Fmt(maintain_seconds), bench::Fmt(rerun_seconds),
          bench::Fmt(rerun_seconds / std::max(1e-9, maintain_seconds), 1) + "x",
-         bench::Fmt(report->score_before), bench::Fmt(report->score_after),
+         bench::PinCell(score_before, row.score_before),
+         bench::PinCell(score_after, row.score_after),
          bench::Fmt(report->coverage_before),
          bench::Fmt(report->coverage_after)});
   }
   table.Print();
   std::printf("E6 invariant: score after >= score before on every row "
               "(the MIDAS quality guarantee).\n");
+  const size_t moved_rows = std::size(kRows) - matched_rows;
+  std::printf("E6 pin: %s (%zu of %zu rows moved)\n\n",
+              moved_rows == 0 ? "PASS" : "FAIL", moved_rows, std::size(kRows));
+  return moved_rows;
 }
 
 void BM_MidasMaintainSmallBatch(benchmark::State& state) {
@@ -126,7 +162,7 @@ BENCHMARK(BM_MidasMaintainSmallBatch)->Unit(benchmark::kMillisecond);
 
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
-  vqi::RunExperiment();
+  const size_t moved_rows = vqi::RunExperiment();
   benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return moved_rows == 0 ? 0 : 1;
 }

@@ -14,6 +14,13 @@ inline std::string Fmt(double value, int precision = 3) {
   return buffer;
 }
 
+/// A table cell for a pinned deterministic figure: `value`, marked when it
+/// differs from the committed `pinned`.
+inline std::string PinCell(const std::string& value,
+                           const std::string& pinned) {
+  return value == pinned ? value : value + " MOVED from " + pinned;
+}
+
 /// Aligned ASCII table printer used by every experiment harness so the
 /// reproduced tables read uniformly (and diff cleanly between runs).
 class Table {
