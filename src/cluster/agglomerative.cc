@@ -17,14 +17,15 @@ ClusteringResult AgglomerativeAverageLinkage(
   k = std::max<size_t>(1, std::min(k, n));
 
   // Active clusters as member lists; Lance-Williams style average-linkage
-  // distances maintained in a dense matrix.
+  // distances maintained in a dense matrix, seeded from the point distances.
+  const DistanceTable dist(points, metric);
   std::vector<std::vector<size_t>> clusters(n);
   for (size_t i = 0; i < n; ++i) clusters[i] = {i};
   std::vector<bool> active(n, true);
-  std::vector<std::vector<double>> dist(n, std::vector<double>(n, 0.0));
+  std::vector<std::vector<double>> linkage(n, std::vector<double>(n, 0.0));
   for (size_t i = 0; i < n; ++i) {
     for (size_t j = i + 1; j < n; ++j) {
-      dist[i][j] = dist[j][i] = Distance(points[i], points[j], metric);
+      linkage[i][j] = linkage[j][i] = dist(i, j);
     }
   }
 
@@ -37,8 +38,8 @@ ClusteringResult AgglomerativeAverageLinkage(
       if (!active[i]) continue;
       for (size_t j = i + 1; j < n; ++j) {
         if (!active[j]) continue;
-        if (dist[i][j] < best) {
-          best = dist[i][j];
+        if (linkage[i][j] < best) {
+          best = linkage[i][j];
           best_i = i;
           best_j = j;
         }
@@ -50,8 +51,8 @@ ClusteringResult AgglomerativeAverageLinkage(
     double sj = static_cast<double>(clusters[best_j].size());
     for (size_t x = 0; x < n; ++x) {
       if (!active[x] || x == best_i || x == best_j) continue;
-      dist[best_i][x] = dist[x][best_i] =
-          (si * dist[best_i][x] + sj * dist[best_j][x]) / (si + sj);
+      linkage[best_i][x] = linkage[x][best_i] =
+          (si * linkage[best_i][x] + sj * linkage[best_j][x]) / (si + sj);
     }
     clusters[best_i].insert(clusters[best_i].end(), clusters[best_j].begin(),
                             clusters[best_j].end());
@@ -73,9 +74,7 @@ ClusteringResult AgglomerativeAverageLinkage(
     double best_cost = std::numeric_limits<double>::infinity();
     for (size_t a : clusters[c]) {
       double cost = 0.0;
-      for (size_t b : clusters[c]) {
-        cost += Distance(points[a], points[b], metric);
-      }
+      for (size_t b : clusters[c]) cost += dist(a, b);
       if (cost < best_cost) {
         best_cost = cost;
         best_member = a;
@@ -87,8 +86,7 @@ ClusteringResult AgglomerativeAverageLinkage(
   // Total cost against medoids.
   result.cost = 0.0;
   for (size_t i = 0; i < n; ++i) {
-    result.cost += Distance(
-        points[i], points[result.medoids[result.assignment[i]]], metric);
+    result.cost += dist(i, result.medoids[result.assignment[i]]);
   }
   return result;
 }

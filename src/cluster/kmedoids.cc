@@ -11,15 +11,14 @@ namespace vqi {
 namespace {
 
 // Assigns every point to its nearest medoid; returns total cost.
-double Assign(const std::vector<FeatureVector>& points,
-              const std::vector<size_t>& medoids, DistanceMetric metric,
+double Assign(const DistanceTable& dist, const std::vector<size_t>& medoids,
               std::vector<int>& assignment) {
   double cost = 0.0;
-  for (size_t i = 0; i < points.size(); ++i) {
+  for (size_t i = 0; i < assignment.size(); ++i) {
     double best = std::numeric_limits<double>::infinity();
     int best_cluster = 0;
     for (size_t c = 0; c < medoids.size(); ++c) {
-      double d = Distance(points[i], points[medoids[c]], metric);
+      double d = dist(i, medoids[c]);
       if (d < best) {
         best = d;
         best_cluster = static_cast<int>(c);
@@ -41,6 +40,7 @@ ClusteringResult KMedoids(const std::vector<FeatureVector>& points, size_t k,
   if (n == 0) return result;
   k = std::min(k, n);
   VQI_CHECK_GE(k, 1u);
+  const DistanceTable dist(points, metric);
 
   // BUILD: first medoid minimizes total distance on a sample; subsequent
   // medoids maximize marginal cost reduction (classic greedy PAM BUILD).
@@ -54,18 +54,14 @@ ClusteringResult KMedoids(const std::vector<FeatureVector>& points, size_t k,
     for (size_t t = 0; t < candidates; ++t) {
       size_t cand = (candidates == n) ? t : rng.UniformInt(n);
       double cost = 0.0;
-      for (size_t i = 0; i < n; ++i) {
-        cost += Distance(points[i], points[cand], metric);
-      }
+      for (size_t i = 0; i < n; ++i) cost += dist(i, cand);
       if (cost < best_cost) {
         best_cost = cost;
         best = cand;
       }
     }
     medoids.push_back(best);
-    for (size_t i = 0; i < n; ++i) {
-      nearest[i] = Distance(points[i], points[best], metric);
-    }
+    for (size_t i = 0; i < n; ++i) nearest[i] = dist(i, best);
   }
   while (medoids.size() < k) {
     size_t best = medoids[0];
@@ -76,7 +72,7 @@ ClusteringResult KMedoids(const std::vector<FeatureVector>& points, size_t k,
       }
       double gain = 0.0;
       for (size_t i = 0; i < n; ++i) {
-        double d = Distance(points[i], points[cand], metric);
+        double d = dist(i, cand);
         if (d < nearest[i]) gain += nearest[i] - d;
       }
       if (gain > best_gain) {
@@ -86,14 +82,13 @@ ClusteringResult KMedoids(const std::vector<FeatureVector>& points, size_t k,
     }
     medoids.push_back(best);
     for (size_t i = 0; i < n; ++i) {
-      nearest[i] =
-          std::min(nearest[i], Distance(points[i], points[best], metric));
+      nearest[i] = std::min(nearest[i], dist(i, best));
     }
   }
 
   // Alternating refinement: assignment, then per-cluster medoid update.
   std::vector<int> assignment(n, 0);
-  double cost = Assign(points, medoids, metric, assignment);
+  double cost = Assign(dist, medoids, assignment);
   for (size_t iter = 0; iter < max_iterations; ++iter) {
     bool changed = false;
     std::vector<std::vector<size_t>> members =
@@ -104,9 +99,7 @@ ClusteringResult KMedoids(const std::vector<FeatureVector>& points, size_t k,
       double best_cost = std::numeric_limits<double>::infinity();
       for (size_t cand : members[c]) {
         double cand_cost = 0.0;
-        for (size_t other : members[c]) {
-          cand_cost += Distance(points[other], points[cand], metric);
-        }
+        for (size_t other : members[c]) cand_cost += dist(other, cand);
         if (cand_cost < best_cost) {
           best_cost = cand_cost;
           best = cand;
@@ -118,7 +111,7 @@ ClusteringResult KMedoids(const std::vector<FeatureVector>& points, size_t k,
       }
     }
     if (!changed) break;
-    cost = Assign(points, medoids, metric, assignment);
+    cost = Assign(dist, medoids, assignment);
   }
 
   result.assignment = std::move(assignment);
@@ -145,6 +138,7 @@ double MeanSilhouette(const std::vector<FeatureVector>& points,
   if (n == 0 || clustering.num_clusters() < 2) return 0.0;
   std::vector<std::vector<size_t>> members =
       ClusterMembers(clustering.assignment, clustering.num_clusters());
+  const DistanceTable dist(points, metric);
   double total = 0.0;
   size_t counted = 0;
   for (size_t i = 0; i < n; ++i) {
@@ -152,14 +146,14 @@ double MeanSilhouette(const std::vector<FeatureVector>& points,
     if (members[own].size() <= 1) continue;  // silhouette undefined
     double a = 0.0;
     for (size_t j : members[own]) {
-      if (j != i) a += Distance(points[i], points[j], metric);
+      if (j != i) a += dist(i, j);
     }
     a /= static_cast<double>(members[own].size() - 1);
     double b = std::numeric_limits<double>::infinity();
     for (size_t c = 0; c < members.size(); ++c) {
       if (c == own || members[c].empty()) continue;
       double d = 0.0;
-      for (size_t j : members[c]) d += Distance(points[i], points[j], metric);
+      for (size_t j : members[c]) d += dist(i, j);
       d /= static_cast<double>(members[c].size());
       b = std::min(b, d);
     }

@@ -24,7 +24,9 @@ struct ClusteringResult {
 /// k-medoids (PAM-style): greedy BUILD initialization followed by
 /// alternating assignment / medoid-update sweeps until convergence or
 /// `max_iterations`. Deterministic given the rng seed. k is clamped to the
-/// number of points.
+/// number of points. Each pairwise distance is computed once, into a
+/// DistanceTable of n(n+1)/2 doubles (0.25 MB at 250 points, 16 MB at 2,000)
+/// that is freed on return.
 ClusteringResult KMedoids(const std::vector<FeatureVector>& points, size_t k,
                           DistanceMetric metric, Rng& rng,
                           size_t max_iterations = 30);
@@ -34,7 +36,8 @@ std::vector<std::vector<size_t>> ClusterMembers(
     const std::vector<int>& assignment, size_t num_clusters);
 
 /// Mean silhouette coefficient of a clustering (quality in [-1, 1]);
-/// clusterings with singleton-only clusters return 0.
+/// clusterings with singleton-only clusters return 0. Reads one
+/// DistanceTable, as KMedoids does.
 double MeanSilhouette(const std::vector<FeatureVector>& points,
                       const ClusteringResult& clustering,
                       DistanceMetric metric);

@@ -47,4 +47,14 @@ double Distance(const FeatureVector& a, const FeatureVector& b,
   return 0.0;
 }
 
+DistanceTable::DistanceTable(const std::vector<FeatureVector>& points,
+                             DistanceMetric metric) {
+  entries_.reserve(points.size() * (points.size() + 1) / 2);
+  for (size_t i = 0; i < points.size(); ++i) {
+    for (size_t j = 0; j <= i; ++j) {
+      entries_.push_back(Distance(points[i], points[j], metric));
+    }
+  }
+}
+
 }  // namespace vqi
