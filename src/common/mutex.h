@@ -15,7 +15,7 @@ class CondVar;
 /// Clang Thread Safety Analysis capability attribute, so locking contracts
 /// are checked at compile time under the `analyze` preset (see
 /// docs/static-analysis.md). This file is the only place raw std::mutex /
-/// std::lock_guard may appear — tools/vqi_lint.py enforces that everywhere
+/// std::lock_guard may appear — tools/vqi_analyze enforces that everywhere
 /// else uses vqi::Mutex / vqi::MutexLock, which is what makes the analysis
 /// coverage total rather than best-effort.
 class VQLIB_CAPABILITY("mutex") Mutex {

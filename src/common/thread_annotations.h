@@ -16,7 +16,7 @@
 ///  - public methods that take a lock internally may carry
 ///    VQLIB_EXCLUDES(<mutex>) where re-entry would self-deadlock;
 ///  - VQLIB_NO_THREAD_SAFETY_ANALYSIS is reserved for src/common/mutex.h —
-///    the lint (tools/vqi_lint.py) rejects it anywhere else.
+///    the repo checker (tools/vqi_analyze) rejects it anywhere else.
 
 #if defined(__clang__)
 #define VQLIB_THREAD_ANNOTATION_ATTRIBUTE__(x) __attribute__((x))
@@ -78,7 +78,7 @@
   VQLIB_THREAD_ANNOTATION_ATTRIBUTE__(lock_returned(x))
 
 /// Escape hatch: the annotated function is not analyzed. Reserved for the
-/// Mutex/CondVar wrappers themselves; vqi_lint rejects it elsewhere.
+/// Mutex/CondVar wrappers themselves; tools/vqi_analyze rejects it elsewhere.
 #define VQLIB_NO_THREAD_SAFETY_ANALYSIS \
   VQLIB_THREAD_ANNOTATION_ATTRIBUTE__(no_thread_safety_analysis)
 

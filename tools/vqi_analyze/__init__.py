@@ -1,10 +1,12 @@
-"""vqi_analyze — whole-repo, cross-translation-unit static analyzer.
+"""vqi_analyze — the repo checker: a whole-repo, cross-translation-unit
+static analyzer.
 
-Zero-dependency (stdlib-only) like tools/vqi_lint.py, but where vqi_lint
-checks single lines, vqi_analyze builds a repo-wide model from the
+Zero-dependency (stdlib-only). It scans every C++ file under src/, tests/,
+tools/, bench/ and examples/, builds a repo-wide model from the
 machine-readable facts the codebase already carries — VQLIB_* thread-safety
 annotations, vqi::MutexLock scopes, #include edges, vqi_* metric literals,
-ctest labels — and checks cross-file properties on top of it:
+ctest labels — and checks cross-file properties on top of it, plus the
+per-line conventions no compiler flag can:
 
   lock-order   global lock-acquisition-order graph (an edge for every lock
                acquired while another is held, including through called
@@ -22,9 +24,14 @@ ctest labels — and checks cross-file properties on top of it:
                in docs/observability.md, and every concurrency-heavy test
                suite label must be matched by the tsan/asan/ubsan preset
                filter regexes in CMakePresets.json.
+  conventions  per-line rules: metric names and label keys, the raw
+               std::mutex ban, test determinism, the matcher's CSR-only hot
+               loop, and the `// vqi-analyze: allow(<rule>) <why>` waiver
+               grammar.
 
-Run as `python3 tools/vqi_analyze --help` (see __main__.py).
+Run as `python3 -m tools.vqi_analyze --help` from the repo root (see
+__main__.py).
 """
 
 __all__ = ["cxx", "model", "lock_order", "blocking", "condvar", "layering",
-           "catalogs", "selftest"]
+           "catalogs", "conventions", "selftest"]

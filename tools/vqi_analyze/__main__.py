@@ -1,7 +1,6 @@
 """CLI driver for vqi_analyze. See package docstring for the pass list.
 
-Exit codes: 0 clean, 1 diagnostics found, 2 usage/internal error — the same
-contract as tools/vqi_lint.py.
+Exit codes: 0 clean, 1 diagnostics found, 2 usage/internal error.
 """
 
 import argparse
@@ -9,15 +8,16 @@ import json
 import sys
 from pathlib import Path
 
-from . import blocking, catalogs, condvar, layering, lock_order
+from . import blocking, catalogs, condvar, conventions, layering, lock_order
 from . import model as model_mod
 from .cxx import CXX_SUFFIXES
 
-PASS_NAMES = ("lock-order", "blocking", "condvar", "layering", "catalogs")
-SCAN_DIRS = ("src", "tests", "tools")
+PASS_NAMES = ("lock-order", "blocking", "condvar", "layering", "catalogs",
+              "conventions")
+SCAN_DIRS = ("src", "tests", "tools", "bench", "examples")
 
 
-def discover_files(root, compile_commands=None):
+def discover_files(root):
     rels = []
     for d in SCAN_DIRS:
         base = root / d
@@ -26,33 +26,6 @@ def discover_files(root, compile_commands=None):
         for p in sorted(base.rglob("*")):
             if p.is_file() and p.suffix in CXX_SUFFIXES:
                 rels.append(p.relative_to(root).as_posix())
-    if compile_commands:
-        cc = Path(compile_commands)
-        if not cc.exists():
-            # Configured without CMAKE_EXPORT_COMPILE_COMMANDS (e.g. a bare
-            # `cmake -B build`): fall back to scanning every file.
-            print(f"vqi_analyze: note: {compile_commands} not found; "
-                  "scanning all sources", file=sys.stderr)
-            return rels
-        try:
-            entries = json.loads(cc.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as err:
-            raise SystemExit(f"vqi_analyze: cannot read compile commands "
-                             f"{compile_commands}: {err}")
-        built = set()
-        for e in entries:
-            f = Path(e.get("file", ""))
-            if not f.is_absolute():
-                f = Path(e.get("directory", ".")) / f
-            try:
-                built.add(f.resolve().relative_to(root.resolve()).as_posix())
-            except ValueError:
-                continue
-        # The database lists translation units; headers are always scanned.
-        rels = [r for r in rels
-                if r.endswith((".h", ".hpp"))
-                or not r.startswith("src/")
-                or r in built]
     return rels
 
 
@@ -63,22 +36,20 @@ def render(diag):
 def main(argv=None):
     ap = argparse.ArgumentParser(
         prog="vqi_analyze",
-        description="whole-repo concurrency & layering analyzer")
+        description="whole-repo concurrency, layering and conventions "
+                    "analyzer")
     ap.add_argument("--root", default=".", help="repository root")
     ap.add_argument("--pass", dest="passes", action="append",
                     choices=PASS_NAMES, metavar="PASS",
                     help=f"run only the given pass(es); one of {PASS_NAMES}")
     ap.add_argument("--json", dest="json_out",
                     help="write the full machine-readable report here")
-    ap.add_argument("--compile-commands", default=None,
-                    help="compile_commands.json restricting the src/ "
-                         "translation units to the built set")
     ap.add_argument("--write-baseline", action="store_true",
                     help="regenerate tools/vqi_analyze/lock_order.expected "
                          "from the discovered edges")
     ap.add_argument("--self-test", action="store_true",
-                    help="plant one violation per rule in a scratch tree "
-                         "and assert every pass catches it")
+                    help="plant violations of every rule in a scratch "
+                         "tree and assert every pass catches them")
     args = ap.parse_args(argv)
 
     if args.self_test:
@@ -92,7 +63,7 @@ def main(argv=None):
     passes = list(args.passes or PASS_NAMES)
     baseline_path = root / "tools" / "vqi_analyze" / "lock_order.expected"
 
-    rels = discover_files(root, args.compile_commands)
+    rels = discover_files(root)
     model = model_mod.build_model(root, rels)
 
     # Replay once; lock-order and blocking both consume the result. The
@@ -138,6 +109,10 @@ def main(argv=None):
     if "catalogs" in passes:
         r = catalogs.run(root, model.files)
         report["passes"]["catalogs"] = r
+        diagnostics += r["diagnostics"]
+    if "conventions" in passes:
+        r = conventions.run(model.files)
+        report["passes"]["conventions"] = r
         diagnostics += r["diagnostics"]
 
     # A waiver that suppresses nothing is stale and must go. Judged per

@@ -15,7 +15,9 @@ Per file it produces a FileFacts with:
     an ordered event stream: block open/close, MutexLock acquisitions,
     calls with receiver text, CondVar waits, local variable declarations;
   * quoted #include edges, vqi_* string literals, and
-    `// vqi-analyze: allow(rule) justification` waivers.
+    `// vqi-analyze: allow(rule) justification` waivers;
+  * the file's lines twice over: raw, and with comments and string contents
+    blanked column for column (for the per-line conventions pass).
 """
 
 import re
@@ -46,7 +48,9 @@ METRIC_LITERAL_RE = re.compile(r'"(vqi_[a-z_]+)"')
 # Name suffixes appended to a metric prefix literal ("vqi_cache" +
 # "_hits_total").
 SUFFIX_LITERAL_RE = re.compile(r'"(_[a-z][a-z_]*)"')
-WAIVER_RE = re.compile(r"//\s*vqi-analyze:\s*allow\(([a-z][a-z0-9-]*)\)\s*(.*)$")
+# Any rule text is captured: the conventions pass reports one that names no
+# waivable rule instead of letting it suppress nothing silently.
+WAIVER_RE = re.compile(r"//\s*vqi-analyze:\s*allow\(([^)]*)\)\s*(.*)$")
 REQUIRES_RE = re.compile(r"\bVQLIB_REQUIRES\s*\(([^)]*)\)")
 MUTEX_MEMBER_RE = re.compile(
     r"^\s*(?:mutable\s+)?(?:static\s+)?(?:vqi\s*::\s*)?(Mutex|CondVar)\s+"
@@ -73,7 +77,7 @@ CLASS_TYPE_TOKEN_RE = re.compile(r"[A-Za-z_][\w:]*")
 
 def strip_comments_and_strings(text):
     """Blanks comment bodies and string/char literal contents with spaces,
-    preserving line structure and the enclosing quote characters."""
+    preserving line structure, columns and the enclosing quote characters."""
     out = []
     i, n = 0, len(text)
     NORMAL, LINE_COMMENT, BLOCK_COMMENT, STRING, CHAR, RAW = range(6)
@@ -153,7 +157,7 @@ def strip_comments_and_strings(text):
         else:  # RAW
             if text.startswith(raw_delim, i):
                 state = NORMAL
-                out.append('"')
+                out.append(" " * (len(raw_delim) - 1) + '"')
                 i += len(raw_delim)
                 continue
             out.append(c if c == "\n" else " ")
@@ -237,7 +241,8 @@ class FileFacts:
         self.metric_literals = []  # (line, name)
         self.suffix_literals = []  # "_suffix" names
         self.waivers = {}          # line -> (rule, justification)
-        self.raw_line_count = 0
+        self.raw_lines = []        # the file's text, line by line
+        self.code_lines = []       # same, comments and strings blanked
 
 
 def _statement_head(buf):
@@ -330,10 +335,9 @@ class FileScanner:
     def __init__(self, rel, raw_text):
         self.rel = rel
         self.facts = FileFacts(rel)
-        self.raw_lines = raw_text.splitlines()
-        self.facts.raw_line_count = len(self.raw_lines)
-        self.code = strip_comments_and_strings(raw_text)
-        self.code_lines = self.code.splitlines()
+        self.facts.raw_lines = raw_text.splitlines()
+        self.facts.code_lines = \
+            strip_comments_and_strings(raw_text).splitlines()
         self.stack = []  # Scope stack
         self.head_buf = []
         self.anon_counter = 0
@@ -376,7 +380,7 @@ class FileScanner:
     def scan(self):
         # Waivers, includes and metric literals come from the raw lines so
         # comments and string literals are visible.
-        for lineno, raw in enumerate(self.raw_lines, start=1):
+        for lineno, raw in enumerate(self.facts.raw_lines, start=1):
             m = WAIVER_RE.search(raw)
             if m:
                 self.facts.waivers[lineno] = (m.group(1), m.group(2).strip())
@@ -389,7 +393,7 @@ class FileScanner:
                 self.facts.suffix_literals.append(lit.group(1))
 
         in_directive = False
-        for lineno, line in enumerate(self.code_lines, start=1):
+        for lineno, line in enumerate(self.facts.code_lines, start=1):
             if in_directive or re.match(r"\s*#", line):
                 in_directive = line.rstrip().endswith("\\")
                 continue  # preprocessor (incl. continuation lines)

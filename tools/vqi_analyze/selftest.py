@@ -190,6 +190,71 @@ vqi_add_test(service_test vqi_service vqi_graph)
 vqi_add_test(foo_test vqi_service vqi_graph)
 vqi_add_test(pure_test vqi_graph)
 """,
+    # The conventions pass's per-line rules. Metric and label cases live
+    # under bench/, where a vqi_* literal owes the catalog nothing. The bare
+    # waiver case is UnjustifiedWaiverSleep in blocker.h above.
+    "bench/metric_unprefixed.cc":
+        'void F(R& r) { r.GetCounter("queries_served"); }\n',
+    "bench/metric_counter_suffix.cc":
+        'void F(R& r) { r.GetCounter("vqi_queries_served"); }\n',
+    "bench/metric_gauge_total.cc":
+        'void F(R& r) { r.GetGauge("vqi_queue_depth_total"); }\n',
+    "bench/label_case.cc": 'obs::Labels labels{{"Pool", "http"}};\n',
+    "bench/label_reserved.cc": 'obs::Labels labels{{"__name", "x"}};\n',
+    "bench/label_request_id.cc":
+        'r.GetCounter("vqi_x_total", "", {{"kind", "a"}, {"request_id", id}});\n',
+    "src/service/raw_mutex.cc": "#include <mutex>\nstd::mutex mu;\n",
+    "tests/lock_guard_test.cc":
+        "void F() { std::lock_guard<std::mutex> lock(mu); }\n",
+    "tests/rand_test.cc": "int F() { return rand() % 7; }\n",
+    "tests/mt19937_test.cc":
+        "#include <random>\nstd::mt19937 gen{std::random_device{}()};\n",
+    "src/service/optout.h": "void F() VQLIB_NO_THREAD_SAFETY_ANALYSIS;\n",
+    "src/service/misspelt_waiver.cc": """\
+void F() {
+  // vqi-analyze: allow(sleep-under-lok) a misspelt rule waives nothing
+  G();
+}
+""",
+    # vf2-csr: the CSR loop the matcher must use, then one Graph::Neighbors()
+    # walk; only the walk is flagged.
+    "src/match/vf2.cc": """\
+void F(const CsrGraph& csr) {
+  for (const Neighbor* it = csr.NeighborsBegin(0);
+       it != csr.NeighborsEnd(0); ++it) { (void)it; }
+}
+void G(const Graph& g) {
+  for (const Neighbor& n : g.Neighbors(0)) { (void)n; }
+}
+""",
+    # Clean twins of the conventions rules: names in comments and strings,
+    # bounded label keys, the sanctioned Graph::Neighbors() caller and each
+    # rule's exempt files.
+    "bench/conventions_ok.cc": """\
+void F(R& r) { r.GetCounter("vqi_queries_served_total"); }
+// std::mutex in a comment is fine
+/* std::mutex */ int unused = 0;
+// r.GetCounter("queries_served") in a comment registers nothing
+const char* kDoc = R"(r.GetCounter("bad") {{"Bad", x}} in a string)";
+""",
+    "tests/rng_ok_test.cc": '#include "common/rng.h"\nvqi::Rng rng(42);\n',
+    "src/net/labels_ok.h": 'obs::Labels labels{{"pool", "http"}};\n',
+    # Replica-labeled series are bounded (R <= 64 replicas per shard).
+    "src/shard/replica_labels_ok.h":
+        'obs::Labels labels{{"shard", "0"}, {"replica", "1"}};\n',
+    "src/match/csr_graph.cc": """\
+void Build(const Graph& g) {
+  for (const Neighbor& n : g.Neighbors(0)) { (void)n; }
+}
+""",
+    "src/common/mutex.h": """\
+#pragma once
+#include <mutex>
+void Lock(std::mutex& mu) VQLIB_NO_THREAD_SAFETY_ANALYSIS;
+""",
+    "src/common/thread_annotations.h":
+        "#pragma once\n#define VQLIB_NO_THREAD_SAFETY_ANALYSIS\n",
+    "bench/rand_ok.cc": "int F() { return rand() % 7; }\n",
     "CMakePresets.json": json.dumps({
         "version": 6,
         "testPresets": [
@@ -218,7 +283,30 @@ PLANTED = {
                        "docs/observability.md"),
     "sanitizer-gating": ("tests/CMakeLists.txt",),
     "unused-waiver": ("src/service/blocker.h",),
+    "metric-name": ("bench/metric_unprefixed.cc",
+                    "bench/metric_counter_suffix.cc",
+                    "bench/metric_gauge_total.cc"),
+    "metric-label": ("bench/label_case.cc", "bench/label_reserved.cc",
+                     "bench/label_request_id.cc"),
+    "raw-mutex": ("src/service/raw_mutex.cc", "tests/lock_guard_test.cc"),
+    "test-determinism": ("tests/rand_test.cc", "tests/mt19937_test.cc"),
+    "no-analysis-optout": ("src/service/optout.h",),
+    "vf2-csr": ("src/match/vf2.cc",),
+    "waiver-grammar": ("src/service/blocker.h",
+                       "src/service/misspelt_waiver.cc"),
 }
+
+# Files no rule may touch.
+CLEAN = ("bench/conventions_ok.cc", "tests/rng_ok_test.cc",
+         "src/net/labels_ok.h", "src/shard/replica_labels_ok.h",
+         "src/match/csr_graph.cc", "src/common/mutex.h",
+         "src/common/thread_annotations.h", "bench/rand_ok.cc")
+
+
+def _line_of(rel, suffix):
+    """1-based line of the first line of SCRATCH[rel] ending in suffix."""
+    lines = SCRATCH[rel].splitlines()
+    return next(i for i, l in enumerate(lines, 1) if l.endswith(suffix))
 
 
 def run():
@@ -290,6 +378,21 @@ def run():
                   and "`pure_test`" not in d["message"]
                   for d in by_rule.get("sanitizer-gating", [])),
               "gated and non-concurrency tests are not flagged")
+        check(not [d for d in diags if d["rel"] in CLEAN],
+              f"clean twins stay silent ({', '.join(CLEAN)})")
+        vf2_lines = [d["line"] for d in by_rule.get("vf2-csr", [])]
+        check(vf2_lines == [_line_of("src/match/vf2.cc", "(void)n; }")],
+              f"only the Graph::Neighbors() walk in vf2.cc is flagged "
+              f"(lines: {vf2_lines})")
+        grammar = {(d["rel"], d["line"])
+                   for d in by_rule.get("waiver-grammar", [])}
+        check(grammar == {
+            ("src/service/blocker.h",
+             _line_of("src/service/blocker.h", "allow(sleep-under-lock)")),
+            ("src/service/misspelt_waiver.cc",
+             _line_of("src/service/misspelt_waiver.cc", "waives nothing"))},
+              "waiver-grammar flags the bare and the misspelt waiver only "
+              f"({sorted(grammar)})")
         lock = report["passes"]["lock-order"]
         check(any(set(c) == {"Pair::a_", "Pair::b_"} for c in lock["cycles"]),
               f"the a_/b_ inversion is the reported cycle ({lock['cycles']})")
