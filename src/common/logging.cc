@@ -1,6 +1,5 @@
 #include "common/logging.h"
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 
@@ -9,8 +8,8 @@
 namespace vqi {
 
 namespace {
-// Atomic because tests flip the level while service workers are logging.
-std::atomic<LogLevel> g_min_level{LogLevel::kInfo};
+// Lines below this severity are dropped.
+constexpr LogLevel kMinLogLevel = LogLevel::kInfo;
 
 // Serializes whole-line emission so concurrent service workers never
 // interleave fragments of two log lines on stderr.
@@ -48,12 +47,6 @@ const char* Basename(const char* path) {
 }
 }  // namespace
 
-void SetMinLogLevel(LogLevel level) {
-  g_min_level.store(level, std::memory_order_relaxed);
-}
-
-LogLevel MinLogLevel() { return g_min_level.load(std::memory_order_relaxed); }
-
 namespace internal {
 
 LogMessage::LogMessage(LogLevel level, const char* file, int line)
@@ -63,7 +56,7 @@ LogMessage::LogMessage(LogLevel level, const char* file, int line)
 }
 
 LogMessage::~LogMessage() {
-  if (level_ >= g_min_level.load(std::memory_order_relaxed)) {
+  if (level_ >= kMinLogLevel) {
     EmitLine(stream_.str());
   }
 }

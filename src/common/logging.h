@@ -9,12 +9,6 @@ namespace vqi {
 /// Severity levels for the library logger.
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3 };
 
-/// Sets the minimum severity that is emitted to stderr. Defaults to kInfo.
-void SetMinLogLevel(LogLevel level);
-
-/// Returns the current minimum severity.
-LogLevel MinLogLevel();
-
 namespace internal {
 
 /// Accumulates one log line and flushes it to stderr on destruction.

@@ -26,7 +26,6 @@ class VQLIB_CAPABILITY("mutex") Mutex {
 
   void Lock() VQLIB_ACQUIRE() { mu_.lock(); }
   void Unlock() VQLIB_RELEASE() { mu_.unlock(); }
-  bool TryLock() VQLIB_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
  private:
   friend class CondVar;

@@ -55,12 +55,6 @@ class [[nodiscard]] Status {
   static Status NotFound(std::string msg) {
     return Status(StatusCode::kNotFound, std::move(msg));
   }
-  static Status AlreadyExists(std::string msg) {
-    return Status(StatusCode::kAlreadyExists, std::move(msg));
-  }
-  static Status OutOfRange(std::string msg) {
-    return Status(StatusCode::kOutOfRange, std::move(msg));
-  }
   static Status FailedPrecondition(std::string msg) {
     return Status(StatusCode::kFailedPrecondition, std::move(msg));
   }
@@ -69,9 +63,6 @@ class [[nodiscard]] Status {
   }
   static Status Internal(std::string msg) {
     return Status(StatusCode::kInternal, std::move(msg));
-  }
-  static Status Unimplemented(std::string msg) {
-    return Status(StatusCode::kUnimplemented, std::move(msg));
   }
   static Status IoError(std::string msg) {
     return Status(StatusCode::kIoError, std::move(msg));

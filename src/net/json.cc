@@ -1,6 +1,7 @@
 #include "net/json.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -118,42 +119,65 @@ void JsonValue::Append(JsonValue value) {
 std::string JsonEscape(std::string_view text) {
   std::string out;
   out.reserve(text.size() + 2);
-  out.push_back('"');
+  AppendJsonString(text, &out);
+  return out;
+}
+
+void AppendJsonString(std::string_view text, std::string* out) {
+  out->push_back('"');
   for (unsigned char c : text) {
     switch (c) {
       case '"':
-        out += "\\\"";
+        *out += "\\\"";
         break;
       case '\\':
-        out += "\\\\";
+        *out += "\\\\";
         break;
       case '\b':
-        out += "\\b";
+        *out += "\\b";
         break;
       case '\f':
-        out += "\\f";
+        *out += "\\f";
         break;
       case '\n':
-        out += "\\n";
+        *out += "\\n";
         break;
       case '\r':
-        out += "\\r";
+        *out += "\\r";
         break;
       case '\t':
-        out += "\\t";
+        *out += "\\t";
         break;
       default:
         if (c < 0x20) {
           char buf[8];
           std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
+          *out += buf;
         } else {
-          out.push_back(static_cast<char>(c));
+          out->push_back(static_cast<char>(c));
         }
     }
   }
-  out.push_back('"');
-  return out;
+  out->push_back('"');
+}
+
+void AppendJsonNumber(double value, std::string* out) {
+  char buf[32];
+  if (std::isfinite(value) && value == std::floor(value) &&
+      std::fabs(value) < 9.007199254740992e15) {
+    // Integers (the common case on this API) print without a decimal point,
+    // so the output is byte-stable and curl-friendly.
+    const std::to_chars_result printed =
+        std::to_chars(buf, buf + sizeof(buf), static_cast<long long>(value));
+    out->append(buf, printed.ptr);
+  } else if (std::isfinite(value)) {
+    // %.17g, not to_chars' shortest form, which would print non-integers
+    // such as latency_ms with different bytes.
+    const int length = std::snprintf(buf, sizeof(buf), "%.17g", value);
+    out->append(buf, static_cast<size_t>(length));
+  } else {
+    *out += "null";  // JSON has no Inf/NaN
+  }
 }
 
 void JsonValue::DumpTo(std::string* out) const {
@@ -164,26 +188,11 @@ void JsonValue::DumpTo(std::string* out) const {
     case Kind::kBool:
       *out += bool_ ? "true" : "false";
       return;
-    case Kind::kNumber: {
-      // Integers (the common case on this API) print without a decimal
-      // point so the output is byte-stable and curl-friendly.
-      if (std::isfinite(number_) && number_ == std::floor(number_) &&
-          std::fabs(number_) < 9.007199254740992e15) {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%lld",
-                      static_cast<long long>(number_));
-        *out += buf;
-      } else if (std::isfinite(number_)) {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%.17g", number_);
-        *out += buf;
-      } else {
-        *out += "null";  // JSON has no Inf/NaN
-      }
+    case Kind::kNumber:
+      AppendJsonNumber(number_, out);
       return;
-    }
     case Kind::kString:
-      *out += JsonEscape(string_);
+      AppendJsonString(string_, out);
       return;
     case Kind::kArray: {
       out->push_back('[');
@@ -198,7 +207,7 @@ void JsonValue::DumpTo(std::string* out) const {
       out->push_back('{');
       for (size_t i = 0; i < object_.size(); ++i) {
         if (i > 0) out->push_back(',');
-        *out += JsonEscape(object_[i].first);
+        AppendJsonString(object_[i].first, out);
         out->push_back(':');
         object_[i].second.DumpTo(out);
       }

@@ -81,6 +81,16 @@ StatusOr<JsonValue> ParseJson(std::string_view text);
 /// Escapes `text` as a JSON string literal including the surrounding quotes.
 std::string JsonEscape(std::string_view text);
 
+/// Appends JsonEscape(text) to `out`.
+void AppendJsonString(std::string_view text, std::string* out);
+
+/// Appends `value` as a JSON number: an integer of magnitude below 2^53 in
+/// plain decimal, any other finite value as "%.17g", and NaN or an infinity
+/// as null (JSON has neither). The wire layer's one number formatter:
+/// JsonValue::Dump and the /query response writer both print through it, so
+/// their bytes cannot drift.
+void AppendJsonNumber(double value, std::string* out);
+
 }  // namespace net
 }  // namespace vqi
 

@@ -235,6 +235,50 @@ JsonValue QueryResultToJson(const QueryResult& result) {
   return json;
 }
 
+void AppendQueryResultJson(const QueryResult& result, std::string* out) {
+  // Field for field the order QueryResultContentJson and QueryResultToJson
+  // insert their keys in; numbers go through the same double conversion.
+  out->reserve(out->size() + 192 + 8 * result.matched_graphs.size() +
+               80 * result.suggestions.size());
+  *out += "{\"status\":";
+  AppendJsonString(StatusCodeToString(result.status.code()), out);
+  *out += ",\"embedding_count\":";
+  AppendJsonNumber(static_cast<double>(result.embedding_count), out);
+  *out += ",\"matched_graphs\":[";
+  for (size_t i = 0; i < result.matched_graphs.size(); ++i) {
+    if (i > 0) out->push_back(',');
+    AppendJsonNumber(static_cast<double>(result.matched_graphs[i]), out);
+  }
+  *out += "],\"suggestions\":[";
+  for (size_t i = 0; i < result.suggestions.size(); ++i) {
+    const EdgeSuggestion& s = result.suggestions[i];
+    *out += i > 0 ? ",{\"from_label\":" : "{\"from_label\":";
+    AppendJsonNumber(static_cast<double>(s.from_label), out);
+    *out += ",\"edge_label\":";
+    AppendJsonNumber(static_cast<double>(s.edge_label), out);
+    *out += ",\"to_label\":";
+    AppendJsonNumber(static_cast<double>(s.to_label), out);
+    *out += ",\"support\":";
+    AppendJsonNumber(static_cast<double>(s.support), out);
+    out->push_back('}');
+  }
+  *out += result.truncated ? "],\"truncated\":true" : "],\"truncated\":false";
+  if (!result.status.ok()) {
+    *out += ",\"error\":{\"code\":";
+    AppendJsonString(StatusCodeToString(result.status.code()), out);
+    *out += ",\"message\":";
+    AppendJsonString(result.status.message(), out);
+    out->push_back('}');
+  }
+  *out += result.from_cache ? ",\"from_cache\":true" : ",\"from_cache\":false";
+  *out += result.coalesced ? ",\"coalesced\":true" : ",\"coalesced\":false";
+  *out += ",\"latency_ms\":";
+  AppendJsonNumber(result.latency_ms, out);
+  *out += ",\"match_steps\":";
+  AppendJsonNumber(static_cast<double>(result.match_steps), out);
+  out->push_back('}');
+}
+
 int HttpStatusFor(const Status& status) {
   switch (status.code()) {
     case StatusCode::kOk:
@@ -394,7 +438,7 @@ HttpResponse QueryServing::HandleQuery(const HttpRequest& request) {
                            : service_->Execute(std::move(decoded).value());
   HttpResponse response;
   response.status = HttpStatusFor(result.status);
-  response.body = QueryResultToJson(result).Dump();
+  AppendQueryResultJson(result, &response.body);
   return response;
 }
 

@@ -44,6 +44,12 @@ StatusOr<QueryRequest> QueryRequestFromJson(const JsonValue& json);
 /// results carry {"error": {"code", "message"}}.
 JsonValue QueryResultToJson(const QueryResult& result);
 
+/// Streaming form of QueryResultToJson(result).Dump(): appends the same bytes
+/// to `out` without building a JsonValue tree. /query responses are written
+/// with it; the tree encoder stays for in-process callers and is this
+/// writer's byte-for-byte reference in the tests.
+void AppendQueryResultJson(const QueryResult& result, std::string* out);
+
 /// The deterministic subset of a result: status code, embedding_count,
 /// matched_graphs, suggestions, truncated. Excludes latency, cache/coalesce
 /// provenance, and step counts — everything that legitimately varies between

@@ -1,7 +1,5 @@
 #include "service/resilience/fault_injector.h"
 
-#include <chrono>
-#include <thread>
 #include <vector>
 
 #include "common/strings.h"
@@ -98,25 +96,10 @@ FaultDecision FaultInjector::Decide(FaultPoint point) {
   return decision;
 }
 
-Status FaultInjector::Act(FaultPoint point) {
-  FaultDecision decision = Decide(point);
-  if (decision.latency_ms > 0) {
-    std::this_thread::sleep_for(
-        std::chrono::duration<double, std::milli>(decision.latency_ms));
-  }
-  return decision.status;
-}
-
 void FaultInjector::SetSpec(FaultPoint point, FaultPointSpec spec) {
   PointState& state = states_[static_cast<size_t>(point)];
   MutexLock lock(&state.mutex);
   state.spec = spec;
-}
-
-FaultPointSpec FaultInjector::GetSpec(FaultPoint point) const {
-  const PointState& state = states_[static_cast<size_t>(point)];
-  MutexLock lock(&state.mutex);
-  return state.spec;
 }
 
 uint64_t FaultInjector::InjectedErrors(FaultPoint point) const {

@@ -107,14 +107,8 @@ class FaultInjector {
   /// timeout against a dead backend.
   FaultDecision Decide(FaultPoint point);
 
-  /// Decide(), then actually sleep any injected latency. Returns the
-  /// injected status (drop maps to kUnavailable) — the convenience form for
-  /// call sites that treat drops as errors.
-  Status Act(FaultPoint point);
-
   /// Replaces the spec of `point` (e.g. clear faults to test recovery).
   void SetSpec(FaultPoint point, FaultPointSpec spec);
-  FaultPointSpec GetSpec(FaultPoint point) const;
 
   /// Decisions that injected something at `point`, by kind.
   uint64_t InjectedErrors(FaultPoint point) const;

@@ -56,38 +56,89 @@ void ServiceClient::RecordOutcome(StatusCode code) {
   breaker_state_gauge_->Set(static_cast<double>(breaker_.state()));
 }
 
+const QueryResult* ServiceClient::Call::Ready() {
+  if (future_.valid()) {
+    if (future_.wait_for(std::chrono::seconds(0)) !=
+        std::future_status::ready) {
+      return nullptr;
+    }
+    result_ = future_.get();
+  }
+  return &result_;
+}
+
 QueryResult ServiceClient::Execute(QueryRequest request) {
+  return Finish(Start(std::move(request)));
+}
+
+ServiceClient::Call ServiceClient::Start(QueryRequest request) {
   requests_total_->Increment();
   budget_.OnRequest();
   {
     MutexLock lock(&mutex_);
     ++stats_.requests;
   }
+  Call call;
+  call.request_ = std::move(request);
+  StartAttempt(&call);
+  return call;
+}
 
-  uint64_t attempts = 0;
-  double backoff_ms = 0;
-  QueryResult result;
-  for (;;) {
-    if (options_.enable_breaker && !breaker_.Allow()) {
-      breaker_rejected_total_->Increment();
-      breaker_state_gauge_->Set(static_cast<double>(breaker_.state()));
+void ServiceClient::StartAttempt(Call* call) {
+  if (options_.enable_breaker && !breaker_.Allow()) {
+    breaker_rejected_total_->Increment();
+    breaker_state_gauge_->Set(static_cast<double>(breaker_.state()));
+    {
       MutexLock lock(&mutex_);
       ++stats_.breaker_rejected;
       ++stats_.failed;
-      result.status = Status::Unavailable("circuit breaker open");
-      return result;
     }
+    // Only the status changes: a retry the breaker rejects returns the
+    // previous attempt's other fields.
+    call->result_.status = Status::Unavailable("circuit breaker open");
+    call->breaker_rejected_ = true;
+    return;
+  }
+  ++call->attempts_;
+  {
+    MutexLock lock(&mutex_);
+    ++stats_.attempts;
+  }
+  // The request is copied, not moved: a retry submits it again.
+  StatusOr<std::future<QueryResult>> submitted =
+      service_.Submit(call->request_);
+  if (submitted.ok()) {
+    call->future_ = std::move(submitted).value();
+  } else {
+    call->result_ = QueryResult{};
+    call->result_.status = submitted.status();
+  }
+}
 
-    ++attempts;
-    {
-      MutexLock lock(&mutex_);
-      ++stats_.attempts;
-    }
-    result = service_.Execute(request);
-    RecordOutcome(result.status.code());
+void ServiceClient::AwaitAttempt(Call* call) {
+  if (call->future_.valid()) call->result_ = call->future_.get();
+  RecordOutcome(call->result_.status.code());
+}
 
-    if (!IsRetryable(result.status.code())) break;
-    if (attempts >= options_.retry.max_attempts) break;
+void ServiceClient::CountFinished(const Call& call) {
+  attempts_per_request_->Observe(static_cast<double>(call.attempts_));
+  MutexLock lock(&mutex_);
+  if (call.result_.status.ok()) {
+    ++stats_.ok;
+  } else {
+    ++stats_.failed;
+  }
+}
+
+QueryResult ServiceClient::Finish(Call call) {
+  double backoff_ms = 0;
+  for (;;) {
+    // A breaker rejection was counted (as failed) when it happened.
+    if (call.breaker_rejected_) return std::move(call.result_);
+    AwaitAttempt(&call);
+
+    if (!IsRetryable(call.result_.status.code())) break;
+    if (call.attempts_ >= options_.retry.max_attempts) break;
     if (!budget_.TryConsumeRetry()) {
       budget_denied_total_->Increment();
       MutexLock lock(&mutex_);
@@ -106,18 +157,16 @@ QueryResult ServiceClient::Execute(QueryRequest request) {
       std::this_thread::sleep_for(
           std::chrono::duration<double, std::milli>(backoff_ms));
     }
+    StartAttempt(&call);
   }
+  CountFinished(call);
+  return std::move(call.result_);
+}
 
-  attempts_per_request_->Observe(static_cast<double>(attempts));
-  {
-    MutexLock lock(&mutex_);
-    if (result.status.ok()) {
-      ++stats_.ok;
-    } else {
-      ++stats_.failed;
-    }
-  }
-  return result;
+void ServiceClient::Abandon(Call call) {
+  if (call.breaker_rejected_) return;
+  AwaitAttempt(&call);
+  CountFinished(call);
 }
 
 ClientStats ServiceClient::stats() const {

@@ -2,6 +2,7 @@
 #define VQLIB_SERVICE_RESILIENCE_SERVICE_CLIENT_H_
 
 #include <cstdint>
+#include <future>
 #include <string>
 
 #include "common/mutex.h"
@@ -37,7 +38,7 @@ struct ServiceClientOptions {
 
 /// Point-in-time counters of one client.
 struct ClientStats {
-  uint64_t requests = 0;          ///< Execute() calls
+  uint64_t requests = 0;          ///< Execute() / Start() calls
   uint64_t attempts = 0;          ///< Submit attempts reaching the service
   uint64_t retries = 0;           ///< attempts beyond each request's first
   uint64_t ok = 0;                ///< requests that ended OK
@@ -71,16 +72,47 @@ struct ClientStats {
 /// Thread-safe; the service must outlive the client.
 class ServiceClient {
  public:
+  /// A request whose first attempt Start() has made. Move-only, like the
+  /// future it holds; Finish() or Abandon() consumes it exactly once.
+  class Call {
+   public:
+    /// The current attempt's result when it is known without blocking: a
+    /// cache hit, an admission refusal, a breaker rejection, or an attempt
+    /// that already completed. nullptr while the attempt is still running.
+    const QueryResult* Ready();
+
+   private:
+    friend class ServiceClient;
+    QueryRequest request_;  ///< kept for retries
+    std::future<QueryResult> future_;  ///< valid while an attempt runs
+    QueryResult result_;
+    uint64_t attempts_ = 0;
+    bool breaker_rejected_ = false;
+  };
+
   explicit ServiceClient(QueryService& service,
                          ServiceClientOptions options = {});
 
   /// Submits `request` with breaker + retry + budget semantics and waits for
-  /// the result. Non-retryable outcomes (OK, kInvalidArgument, kNotFound,
-  /// kDeadlineExceeded) return immediately; kUnavailable / kInternal retry
-  /// up to the policy's attempt cap while the budget allows. A request
-  /// rejected by the open breaker returns kUnavailable without touching the
-  /// service.
+  /// the result: Finish(Start(request)). Non-retryable outcomes (OK,
+  /// kInvalidArgument, kNotFound, kDeadlineExceeded) return immediately;
+  /// kUnavailable / kInternal retry up to the policy's attempt cap while the
+  /// budget allows. A request rejected by the open breaker returns
+  /// kUnavailable without touching the service.
   QueryResult Execute(QueryRequest request);
+
+  /// First half of Execute, on the calling thread: counts the request, makes
+  /// the retry-budget deposit, checks the breaker and submits the first
+  /// attempt. Blocks on nothing past the service's admission (which answers
+  /// a cache hit itself) and never sleeps on a backoff.
+  Call Start(QueryRequest request);
+  /// Second half: waits for the attempt, records its outcome and runs the
+  /// retry loop, backoff sleeps included.
+  QueryResult Finish(Call call);
+  /// Settles a started call whose answer nobody will read: waits for its
+  /// attempt and records the outcome, without retrying. A half-open
+  /// breaker's probe that was never recorded would hold its permit forever.
+  void Abandon(Call call);
 
   ClientStats stats() const;
   BreakerState breaker_state() const { return breaker_.state(); }
@@ -88,6 +120,13 @@ class ServiceClient {
   double budget_tokens() const { return budget_.tokens(); }
 
  private:
+  /// One attempt: the breaker check, then Submit. A rejection is counted
+  /// here and leaves `call` breaker-rejected.
+  void StartAttempt(Call* call);
+  /// Waits for the call's attempt and records its outcome with the breaker.
+  void AwaitAttempt(Call* call);
+  /// Counts a finished request's attempts and outcome.
+  void CountFinished(const Call& call);
   void RecordOutcome(StatusCode code);
 
   QueryService& service_;

@@ -241,67 +241,83 @@ ShardedRouter::ReplicaPick ShardedRouter::PickReplica(
   return pick;
 }
 
-QueryResult ShardedRouter::RunPrimaryChain(size_t leg_shard, QueryRequest sub,
-                                           GatherState* state,
-                                           size_t leg_index) {
+ShardedRouter::PrimaryLeg ShardedRouter::StartPrimary(size_t leg_shard,
+                                                     QueryRequest sub,
+                                                     GatherState* state,
+                                                     size_t leg_index) {
   // Every primary leg deposits into the failover budget (mirroring the
   // hedge budget), bounding failovers to ~ratio of leg traffic plus a
   // burst.
   failover_budget_.OnRequest();
-  uint64_t tried = 0;
-  ReplicaPick pick = PickReplica(leg_shard, tried);
+  PrimaryLeg leg;
+  leg.shard = leg_shard;
+  leg.sub = std::move(sub);
+  ReplicaPick pick = PickReplica(leg_shard, leg.tried);
   {
     MutexLock lock(&stats_mutex_);
     if (pick.skipped_open) failover_total_->Increment();
     if (pick.picked_open) all_down_total_->Increment();
   }
-  QueryResult response;
+  StartAttempt(&leg, pick.replica, state, leg_index);
+  return leg;
+}
+
+void ShardedRouter::StartAttempt(PrimaryLeg* leg, size_t replica,
+                                 GatherState* state, size_t leg_index) {
+  leg->replica = replica;
+  leg->tried |= uint64_t{1} << replica;
+  const size_t slot = Slot(leg->shard, replica);
+  if (state != nullptr) {
+    MutexLock lock(&state->mutex);
+    state->legs[leg_index].primary_replica = replica;
+  }
+  {
+    MutexLock lock(&stats_mutex_);
+    replica_picks_total_[slot]->Increment();
+  }
+  inflight_[slot].fetch_add(1, std::memory_order_relaxed);
+  leg->call = clients_[slot]->Start(leg->sub);
+}
+
+QueryResult ShardedRouter::FinishPrimary(PrimaryLeg leg, GatherState* state,
+                                         size_t leg_index) {
   for (;;) {
-    tried |= uint64_t{1} << pick.replica;
-    const size_t slot = Slot(leg_shard, pick.replica);
-    if (state != nullptr) {
-      MutexLock lock(&state->mutex);
-      state->legs[leg_index].primary_replica = pick.replica;
-    }
-    {
-      MutexLock lock(&stats_mutex_);
-      replica_picks_total_[slot]->Increment();
-    }
-    inflight_[slot].fetch_add(1, std::memory_order_relaxed);
-    response = clients_[slot]->Execute(sub);
+    const size_t slot = Slot(leg.shard, leg.replica);
+    QueryResult response = clients_[slot]->Finish(std::move(leg.call));
     inflight_[slot].fetch_sub(1, std::memory_order_relaxed);
-    if (response.status.ok()) break;
+    if (response.status.ok()) return response;
     {
       MutexLock lock(&stats_mutex_);
       replica_errors_total_[slot]->Increment();
     }
-    if (!resilience::IsRetryable(response.status.code())) break;
-    if (map_.num_replicas() == 1) break;
+    if (!resilience::IsRetryable(response.status.code())) return response;
+    if (map_.num_replicas() == 1) return response;
     // Replica failover: the attempt failed retryably, so re-dispatch to an
     // untried sibling whose breaker is not open — this is what turns a dark
     // replica into zero availability loss instead of a partial. Another
     // open breaker would just fast-fail, so it is not worth a budget token.
-    ReplicaPick next = PickReplica(leg_shard, tried);
-    if (next.replica == ShardMap::kNoShard || next.picked_open) break;
-    if (!failover_budget_.TryConsumeRetry()) break;
+    ReplicaPick next = PickReplica(leg.shard, leg.tried);
+    if (next.replica == ShardMap::kNoShard || next.picked_open) {
+      return response;
+    }
+    if (!failover_budget_.TryConsumeRetry()) return response;
     if (state != nullptr) {
       MutexLock lock(&state->mutex);
-      GatherState::Leg& leg = state->legs[leg_index];
+      GatherState::Leg& gathered = state->legs[leg_index];
       // A hedge or the gather timeout already claimed the leg; this
       // response will be discarded, so stop burning replica time.
-      if (leg.resolved) break;
+      if (gathered.resolved) return response;
       // Fresh token per attempt: poison aimed at the failed attempt must
       // not cancel the sibling's.
-      sub.cancel = std::make_shared<std::atomic<bool>>(false);
-      leg.primary_cancel = sub.cancel;
+      leg.sub.cancel = std::make_shared<std::atomic<bool>>(false);
+      gathered.primary_cancel = leg.sub.cancel;
     }
     {
       MutexLock lock(&stats_mutex_);
       failover_total_->Increment();
     }
-    pick = next;
+    StartAttempt(&leg, next.replica, state, leg_index);
   }
-  return response;
 }
 
 Status ShardedRouter::BuildSubRequests(
@@ -495,8 +511,10 @@ QueryResult ShardedRouter::Execute(QueryRequest request) {
   if (subs.size() == 1 && !hedging) {
     const size_t target_shard = subs[0].first;
     Stopwatch leg_clock;
-    QueryResult leg = RunPrimaryChain(target_shard, std::move(subs[0].second),
-                                      /*state=*/nullptr, /*leg_index=*/0);
+    QueryResult leg =
+        FinishPrimary(StartPrimary(target_shard, std::move(subs[0].second),
+                                   /*state=*/nullptr, /*leg_index=*/0),
+                      /*state=*/nullptr, /*leg_index=*/0);
     {
       MutexLock lock(&stats_mutex_);
       shard_requests_total_[target_shard]->Increment();
@@ -510,31 +528,13 @@ QueryResult ShardedRouter::Execute(QueryRequest request) {
 
   auto state = std::make_shared<GatherState>();
 
-  // Executes one leg attempt chain (primary + failovers, or a hedge) on a
-  // pool thread. The first attempt to finish wins the leg and poisons the
-  // loser's cancel token; a loser finds the leg resolved and discards its
-  // response.
-  auto run_leg = [this, state](size_t index, size_t leg_shard,
-                               QueryRequest sub, bool is_hedge,
-                               size_t hedge_replica, bool hedge_cross) {
-    QueryResult response;
-    if (is_hedge) {
-      const size_t slot = Slot(leg_shard, hedge_replica);
-      {
-        MutexLock lock(&stats_mutex_);
-        replica_picks_total_[slot]->Increment();
-      }
-      inflight_[slot].fetch_add(1, std::memory_order_relaxed);
-      response = clients_[slot]->Execute(std::move(sub));
-      inflight_[slot].fetch_sub(1, std::memory_order_relaxed);
-      if (!response.status.ok()) {
-        MutexLock lock(&stats_mutex_);
-        replica_errors_total_[slot]->Increment();
-      }
-    } else {
-      response = RunPrimaryChain(leg_shard, std::move(sub), state.get(),
-                                 index);
-    }
+  // Resolves one leg with an attempt chain's response. The first response
+  // wins the leg and poisons the other chain's cancel token; a loser finds
+  // the leg resolved and discards its response. Runs on the caller for a
+  // leg answered inline, else on a pool thread.
+  auto resolve = [this, state](size_t index, size_t leg_shard,
+                               QueryResult response, bool is_hedge,
+                               bool hedge_cross) {
     bool winner = false;
     bool error = false;
     double leg_ms = 0;
@@ -568,16 +568,6 @@ QueryResult ShardedRouter::Execute(QueryRequest request) {
       }
     }
   };
-  auto submit_leg = [this, &run_leg](size_t index, size_t leg_shard,
-                                     QueryRequest sub, bool is_hedge,
-                                     size_t hedge_replica,
-                                     bool hedge_cross) -> Status {
-    return pool_.Submit([run_leg, index, leg_shard, sub = std::move(sub),
-                         is_hedge, hedge_replica, hedge_cross]() mutable {
-      run_leg(index, leg_shard, std::move(sub), is_hedge, hedge_replica,
-              hedge_cross);
-    });
-  };
 
   // Scatter-gather with an inline hedging clock. The shards enforce the
   // request deadline themselves (returning partials where allowed); the
@@ -585,10 +575,11 @@ QueryResult ShardedRouter::Execute(QueryRequest request) {
   // and only a shard stuck well past its budget is abandoned.
   //
   // Locking discipline: pool_.Submit is never called with state->mutex
-  // held. Submit blocks when the fan-out queue is full, and every pool
-  // worker re-enters state->mutex the moment its leg finishes — a submit
-  // under the gather lock turns pool saturation into a stall of every
-  // in-flight leg (and of the workers trying to resolve them). Hedge
+  // held. Submit does not block (a full fan-out queue refuses the task
+  // with kUnavailable), but it takes the pool's own mutex and wakes a
+  // worker, and every pool worker re-enters state->mutex the moment its
+  // leg finishes: a submit under the gather lock nests the pool's mutex
+  // inside it and makes the woken worker wait for the submitter. Hedge
   // *decisions* are made under the lock; the submits they schedule happen
   // with it released.
   const double gather_deadline_ms =
@@ -612,8 +603,14 @@ QueryResult ShardedRouter::Execute(QueryRequest request) {
     state->unresolved = state->legs.size();
   }
 
-  // Phase 2: submit every primary leg with the lock released.
+  // Phase 2: start every primary leg on this thread, with the lock
+  // released. A leg whose first attempt is answered at once and needs no
+  // retry or failover (a cache hit) resolves right here. Every other leg
+  // continues on the fan-out pool: a miss is already queued on its
+  // replica's own pool, so the pool task waits for it and runs any retry
+  // and failover, which never sleep on this thread.
   const size_t num_legs = subs.size();
+  std::vector<PrimaryLeg> refused;
   for (size_t i = 0; i < num_legs; ++i) {
     QueryRequest sub;
     size_t leg_shard = 0;
@@ -626,20 +623,42 @@ QueryResult ShardedRouter::Execute(QueryRequest request) {
     // Every primary leg deposits into the hedge budget; each fired hedge
     // withdraws one full token, bounding hedges to ~ratio of leg traffic.
     hedge_budget_.OnRequest();
+    PrimaryLeg primary =
+        StartPrimary(leg_shard, std::move(sub), state.get(), i);
+    const QueryResult* ready = primary.call.Ready();
+    if (ready != nullptr && !resilience::IsRetryable(ready->status.code())) {
+      resolve(i, leg_shard, FinishPrimary(std::move(primary), state.get(), i),
+              /*is_hedge=*/false, /*hedge_cross=*/false);
+      continue;
+    }
+    // shared_ptr: the started call holds a move-only future, and a pool task
+    // is a copyable std::function.
+    auto pending = std::make_shared<PrimaryLeg>(std::move(primary));
     Status submitted =
-        submit_leg(i, leg_shard, std::move(sub), false, 0, false);
+        pool_.Submit([this, state, resolve, pending, i, leg_shard]() {
+          resolve(i, leg_shard,
+                  FinishPrimary(std::move(*pending), state.get(), i),
+                  /*is_hedge=*/false, /*hedge_cross=*/false);
+        });
     if (!submitted.ok()) {
-      // Fan-out pool saturated: the leg resolves immediately as
-      // unavailable and the merge degrades per the partial contract.
+      // Fan-out pool saturated: the leg resolves immediately as unavailable
+      // and the merge degrades per the partial contract. Its started
+      // attempt is poisoned and settled once the gather is over.
+      inflight_[Slot(leg_shard, pending->replica)].fetch_sub(
+          1, std::memory_order_relaxed);
       {
         MutexLock lock(&state->mutex);
         GatherState::Leg& leg = state->legs[i];
         leg.resolved = true;
         leg.result.status = submitted;
+        if (leg.primary_cancel != nullptr) leg.primary_cancel->store(true);
         --state->unresolved;
       }
-      MutexLock stats_lock(&stats_mutex_);
-      shard_errors_total_[leg_shard]->Increment();
+      {
+        MutexLock stats_lock(&stats_mutex_);
+        shard_errors_total_[leg_shard]->Increment();
+      }
+      refused.push_back(std::move(*pending));
     }
   }
 
@@ -721,9 +740,27 @@ QueryResult ShardedRouter::Execute(QueryRequest request) {
       // A leg can resolve between the decision and this submit; the hedge
       // then finds the leg resolved and discards itself (its cancel token
       // was poisoned by the winner).
-      Status submitted =
-          submit_leg(hedge.index, hedge.shard, std::move(hedge.request),
-                     true, hedge.replica, hedge.cross);
+      const size_t index = hedge.index;
+      const size_t leg_shard = hedge.shard;
+      const size_t slot = Slot(leg_shard, hedge.replica);
+      const bool cross = hedge.cross;
+      Status submitted = pool_.Submit(
+          [this, resolve, index, leg_shard, slot, cross,
+           sub = std::move(hedge.request)]() mutable {
+            {
+              MutexLock lock(&stats_mutex_);
+              replica_picks_total_[slot]->Increment();
+            }
+            inflight_[slot].fetch_add(1, std::memory_order_relaxed);
+            QueryResult response = clients_[slot]->Execute(std::move(sub));
+            inflight_[slot].fetch_sub(1, std::memory_order_relaxed);
+            if (!response.status.ok()) {
+              MutexLock lock(&stats_mutex_);
+              replica_errors_total_[slot]->Increment();
+            }
+            resolve(index, leg_shard, std::move(response), /*is_hedge=*/true,
+                    cross);
+          });
       const bool fired = submitted.ok();
       {
         MutexLock lock(&state->mutex);
@@ -773,6 +810,11 @@ QueryResult ShardedRouter::Execute(QueryRequest request) {
       gather_timeout_total_->Increment();
       shard_errors_total_[timed_out_shard]->Increment();
     }
+  }
+  // Settle the attempts started for legs the pool refused (poisoned in
+  // phase 2), so their clients' counts and breakers stay whole.
+  for (PrimaryLeg& leg : refused) {
+    clients_[Slot(leg.shard, leg.replica)]->Abandon(std::move(leg.call));
   }
   return finish(Merge(request, std::move(results), leg_shards));
 }

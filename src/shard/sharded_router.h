@@ -77,8 +77,9 @@ struct ShardedRouterOptions {
   /// a shard and merges without it (the shard enforces the deadline itself;
   /// the slack covers queueing and fan-out overhead).
   double gather_slack_ms = 25.0;
-  /// Fan-out pool: legs execute on these threads (each leg blocks one thread
-  /// for the duration of its shard call). 0 = 2 * num_shards.
+  /// Fan-out pool: a leg that cannot resolve on the caller's thread (a miss,
+  /// a retry or failover, a hedge) finishes on these threads, each leg
+  /// blocking one thread until its attempt chain ends. 0 = 2 * num_shards.
   size_t router_threads = 0;
   size_t router_queue = 1024;
   /// Chaos targeted at ONE replica (the dark-replica / slow-replica
@@ -144,8 +145,11 @@ struct RouterStats {
 /// shard are unavailable. Hedged requests cut tail latency: a leg
 /// outstanding past its trigger fires one budgeted duplicate at a sibling
 /// replica (same replica when R == 1 or no sibling is healthy), first
-/// response wins, and the loser is cancelled via max_steps poisoning. See
-/// docs/sharding.md for the full state machine.
+/// response wins, and the loser is cancelled via max_steps poisoning. Every
+/// leg's first attempt starts on the calling thread, and a leg answered at
+/// once (a cache hit) resolves there; the fan-out pool only carries legs
+/// that must wait, retry, fail over or hedge. See docs/sharding.md for the
+/// full state machine.
 ///
 /// Thread-safe, including Snapshot() at any time during traffic. The source
 /// database is only read during construction (the shards serve their own
@@ -165,7 +169,7 @@ class ShardedRouter {
   /// per-leg bookkeeping and the snapshot read are ordered by a stats mutex,
   /// so a snapshot never observes a leg half-tallied. Counters include only
   /// legs fully resolved at the time of the call; Shutdown() first for
-  /// final, exact totals.
+  /// final, exact totals of legs that finished on the fan-out pool.
   RouterStats Snapshot() const;
   /// Shard ServiceStats summed across all replicas (latency percentiles are
   /// the router's own, end-to-end).
@@ -216,14 +220,31 @@ class ShardedRouter {
   /// replayable.
   ReplicaPick PickReplica(size_t shard, uint64_t exclude_mask) const;
 
-  /// Runs the primary attempt chain of one leg on the calling thread:
-  /// replica pick, execute, and budgeted failover to untried healthy
-  /// siblings on retryable failure. With `state` set (pool legs) the chain
-  /// publishes the current replica and a fresh cancel token per attempt
-  /// under the gather mutex and stops when the leg resolves elsewhere;
-  /// nullptr = the single-leg fast path. Returns the final response.
-  QueryResult RunPrimaryChain(size_t leg_shard, QueryRequest sub,
-                              GatherState* state, size_t leg_index);
+  /// One leg's primary attempt chain: started by StartPrimary on the
+  /// calling thread, completed by FinishPrimary.
+  struct PrimaryLeg {
+    size_t shard = 0;
+    size_t replica = 0;  ///< replica of the current attempt
+    uint64_t tried = 0;  ///< replicas attempted so far, as a bit mask
+    QueryRequest sub;
+    resilience::ServiceClient::Call call;
+  };
+
+  /// Starts the primary attempt chain of one leg: the failover-budget
+  /// deposit, the replica pick, and the first attempt's Start (which answers
+  /// a cache hit on the spot). With `state` set (multi-leg requests) every
+  /// attempt publishes its replica and, on failover, a fresh cancel token
+  /// under the gather mutex; nullptr = the single-leg fast path.
+  PrimaryLeg StartPrimary(size_t leg_shard, QueryRequest sub,
+                          GatherState* state, size_t leg_index);
+  /// Finishes the chain: waits for the attempt, then fails over to untried
+  /// healthy siblings on retryable failure while the budget allows, and
+  /// stops when the leg resolves elsewhere. Returns the final response.
+  QueryResult FinishPrimary(PrimaryLeg leg, GatherState* state,
+                            size_t leg_index);
+  /// Picks `replica` for the leg's next attempt and starts it.
+  void StartAttempt(PrimaryLeg* leg, size_t replica, GatherState* state,
+                    size_t leg_index);
 
   /// Expands `request` into per-shard legs. NotFound when an explicit target
   /// is not in the shard map.

@@ -164,9 +164,4 @@ FormulationTrace SimulateFormulation(const Graph& target,
   return trace;
 }
 
-FormulationTrace SimulateFormulationOnPanel(const Graph& target,
-                                            const PatternPanel& panel) {
-  return SimulateFormulation(target, panel.AllPatterns());
-}
-
 }  // namespace vqi

@@ -5,7 +5,6 @@
 
 #include "graph/graph.h"
 #include "sim/klm.h"
-#include "vqi/panels.h"
 
 namespace vqi {
 
@@ -42,11 +41,6 @@ double TraceSeconds(const FormulationTrace& trace, const KlmModel& model,
 /// formulation — the manual-VQI baseline of the surveyed studies.
 FormulationTrace SimulateFormulation(const Graph& target,
                                      const std::vector<Graph>& patterns);
-
-/// Convenience: formulation against a VQI's Pattern Panel (pure
-/// measurement; the panel's QueryPanel is not mutated).
-FormulationTrace SimulateFormulationOnPanel(const Graph& target,
-                                            const PatternPanel& panel);
 
 }  // namespace vqi
 

@@ -9,11 +9,15 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <future>
+#include <limits>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "common/stopwatch.h"
 #include "graph/generators.h"
 #include "gtest/gtest.h"
@@ -50,6 +54,48 @@ TEST(JsonTest, IntegersDumpWithoutDecimalPoint) {
   v.Set("count", JsonValue::Number(702));
   v.Set("frac", JsonValue::Number(0.5));
   EXPECT_EQ(v.Dump(), R"({"count":702,"frac":0.5})");
+}
+
+// Pins the number formatter's bytes: integers below 2^53 in plain decimal,
+// every other finite value as %.17g, NaN and infinities as null.
+TEST(JsonTest, NumbersDumpToPinnedBytes) {
+  const double two53 = 9007199254740992.0;
+  const std::vector<std::pair<double, std::string>> cases = {
+      {0.0, "0"},
+      {-0.0, "0"},
+      {1.0, "1"},
+      {-1.0, "-1"},
+      {two53 - 1, "9007199254740991"},
+      {-(two53 - 1), "-9007199254740991"},
+      {two53, "9007199254740992"},
+      {1152921504606846976.0 /* 2^60 */, "1.152921504606847e+18"},
+      {1e300, "1.0000000000000001e+300"},
+      {-1e300, "-1.0000000000000001e+300"},
+      {-0.5, "-0.5"},
+      {0.1, "0.10000000000000001"},
+      {1099511627776.25, "1099511627776.25"},
+      {std::numeric_limits<double>::quiet_NaN(), "null"},
+      {std::numeric_limits<double>::infinity(), "null"},
+      {-std::numeric_limits<double>::infinity(), "null"},
+  };
+  for (const auto& [value, expected] : cases) {
+    EXPECT_EQ(JsonValue::Number(value).Dump(), expected) << value;
+  }
+}
+
+TEST(JsonTest, NestedArraysOfIdsDump) {
+  JsonValue inner = JsonValue::Array();
+  inner.Append(JsonValue::Number(3));
+  inner.Append(JsonValue::Number(1099511627776.0 /* 2^40 */));
+  JsonValue empty = JsonValue::Array();
+  JsonValue outer = JsonValue::Array();
+  outer.Append(JsonValue::Number(0));
+  outer.Append(inner);
+  outer.Append(empty);
+  JsonValue deepest = JsonValue::Array();
+  deepest.Append(std::move(outer));
+  deepest.Append(JsonValue::Number(-7));
+  EXPECT_EQ(deepest.Dump(), "[[0,[3,1099511627776],[]],-7]");
 }
 
 TEST(JsonTest, EscapesControlCharactersAndQuotes) {
@@ -351,6 +397,78 @@ TEST(ServingTest, QueryHandlerMatchesDirectExecute) {
   EXPECT_EQ(
       body.value().Find("matched_graphs")->array().size(),
       expected.matched_graphs.size());
+}
+
+// The streaming writer must produce exactly the tree encoder's bytes.
+std::string WriterBytes(const QueryResult& result) {
+  std::string out;
+  AppendQueryResultJson(result, &out);
+  return out;
+}
+
+TEST(ServingTest, WriterMatchesTreeEncoderOnEveryStatusCode) {
+  const std::vector<std::string> messages = {
+      "", "plain", "quote \" inside", "back\\slash",
+      std::string("control \x01\x1f\b\f\n\r\t bytes"), "unicode \xc3\xa9"};
+  for (int code = static_cast<int>(StatusCode::kOk);
+       code <= static_cast<int>(StatusCode::kCancelled); ++code) {
+    for (const std::string& message : messages) {
+      QueryResult result;
+      result.status = Status(static_cast<StatusCode>(code), message);
+      result.embedding_count = 12;
+      result.matched_graphs = {1, 5};
+      result.truncated = code % 2 == 0;
+      result.latency_ms = 0.25 * code;
+      EXPECT_EQ(WriterBytes(result), QueryResultToJson(result).Dump())
+          << StatusCodeToString(static_cast<StatusCode>(code)) << " / "
+          << message;
+    }
+  }
+}
+
+TEST(ServingTest, WriterMatchesTreeEncoderOnSeededCorpus) {
+  Rng rng(20221);
+  const int64_t two40 = int64_t{1} << 40;
+  for (int round = 0; round < 200; ++round) {
+    QueryResult result;
+    const size_t ids = round % 4 == 0   ? 0
+                       : round % 4 == 1 ? 1000
+                                        : rng.UniformInt(40);
+    for (size_t i = 0; i < ids; ++i) {
+      result.matched_graphs.push_back(rng.UniformRange(0, two40));
+    }
+    const size_t suggestions = round % 3 == 0 ? 0 : round % 3 == 1 ? 18 : 3;
+    for (size_t i = 0; i < suggestions; ++i) {
+      result.suggestions.push_back(EdgeSuggestion{
+          static_cast<Label>(rng.UniformInt(64)),
+          static_cast<Label>(rng.UniformInt(4)),
+          static_cast<Label>(rng.UniformInt(0xFFFFFFFF)),
+          static_cast<size_t>(rng.UniformInt(100000))});
+    }
+    result.embedding_count = rng.UniformInt(uint64_t{1} << 52);
+    result.match_steps = round % 5 == 0 ? 0 : rng.Next();
+    result.truncated = rng.Bernoulli(0.3);
+    result.from_cache = rng.Bernoulli(0.5);
+    result.coalesced = rng.Bernoulli(0.2);
+    // Integer and non-integer latencies, including sub-microsecond ones.
+    result.latency_ms = round % 2 == 0
+                            ? static_cast<double>(rng.UniformInt(5000))
+                            : rng.UniformDouble() * std::pow(10.0, round % 7 - 4);
+    if (round % 6 == 5) {
+      result.status = Status::DeadlineExceeded("deadline \"" +
+                                               std::to_string(round) + "\"");
+    }
+    EXPECT_EQ(WriterBytes(result), QueryResultToJson(result).Dump())
+        << "round " << round;
+  }
+}
+
+TEST(ServingTest, WriterAppendsToExistingBytes) {
+  QueryResult result;
+  result.matched_graphs = {3};
+  std::string out = "prefix:";
+  AppendQueryResultJson(result, &out);
+  EXPECT_EQ(out, "prefix:" + QueryResultToJson(result).Dump());
 }
 
 // ---------------------------------------------------------------------------

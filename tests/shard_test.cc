@@ -605,6 +605,222 @@ TEST(ShardedRouterTest, MergeSurfacesMostSevereFailureAcrossShards) {
 }
 
 // ---------------------------------------------------------------------------
+// Legs started on the caller's thread
+
+// Every deterministic counter of the fleet in one line: the router's, every
+// client's and every replica's. Latency percentiles are left out.
+std::string FleetTally(ShardedRouter& router) {
+  shard::RouterStats stats = router.Snapshot();
+  std::string out = "router requests=" + std::to_string(stats.requests) +
+                    " fanouts=" + std::to_string(stats.fanouts) +
+                    " failovers=" + std::to_string(stats.failovers) +
+                    " all_down=" + std::to_string(stats.all_replicas_down) +
+                    " partials=" + std::to_string(stats.partials) +
+                    " hedges=" + std::to_string(stats.hedges_fired) +
+                    " timeouts=" + std::to_string(stats.gather_timeouts);
+  for (size_t i = 0; i < router.num_shards(); ++i) {
+    out += "\nshard" + std::to_string(i) +
+           " requests=" + std::to_string(stats.shards[i].requests) +
+           " errors=" + std::to_string(stats.shards[i].errors);
+    for (size_t r = 0; r < router.num_replicas(); ++r) {
+      const resilience::ClientStats c = router.client(i, r).stats();
+      const ServiceStats v = router.shard(i, r).Snapshot();
+      out += "\n  replica" + std::to_string(r) +
+             " picks=" + std::to_string(stats.replica_picks[i][r]) +
+             " errors=" + std::to_string(stats.replica_errors[i][r]) +
+             " | client requests=" + std::to_string(c.requests) +
+             " attempts=" + std::to_string(c.attempts) +
+             " retries=" + std::to_string(c.retries) +
+             " ok=" + std::to_string(c.ok) +
+             " failed=" + std::to_string(c.failed) +
+             " denied=" + std::to_string(c.budget_denied) +
+             " rejected=" + std::to_string(c.breaker_rejected) +
+             " | service admitted=" + std::to_string(v.admitted) +
+             " completed=" + std::to_string(v.completed) +
+             " rejected=" + std::to_string(v.rejected) +
+             " hits=" + std::to_string(v.cache_hits) +
+             " misses=" + std::to_string(v.cache_misses) +
+             " backend=" + std::to_string(v.backend_executions) +
+             " leaders=" + std::to_string(v.coalesce_leaders) +
+             " waiters=" + std::to_string(v.coalesce_waiters) +
+             " index_builds=" + std::to_string(v.index_builds);
+    }
+  }
+  return out;
+}
+
+uint64_t RouterPoolTasks(ShardedRouter& router) {
+  return router.metrics()
+      .GetCounter("vqi_pool_tasks_executed_total", "", {{"pool", "router"}})
+      .Value();
+}
+
+std::vector<Graph> PanelPatterns() {
+  return {SingleVertexPattern(0), SingleVertexPattern(1), EdgePattern(0, 1),
+          EdgePattern(1, 1)};
+}
+
+// Each replica (i, 0) is warmed directly with the exact sub-request the
+// router sends it, so the routed sequence below is all cache hits: every leg
+// resolves on the caller and the fan-out pool runs no task. The tally was
+// pinned from the build that ran every leg on the pool; moving legs onto the
+// caller must not change a single count.
+// Pinned from the build that ran every leg on the fan-out pool. A miss
+// counts two cache misses (the admission and the dequeue probe).
+const char* const kPinnedAllHit =
+    "router requests=12 fanouts=12 failovers=0 all_down=0 partials=0 "
+    "hedges=0 timeouts=0\n"
+    "shard0 requests=12 errors=0\n"
+    "  replica0 picks=12 errors=0 | client requests=12 attempts=12 "
+    "retries=0 ok=12 failed=0 denied=0 rejected=0 | service admitted=16 "
+    "completed=16 rejected=0 hits=12 misses=8 backend=4 leaders=4 waiters=0 "
+    "index_builds=12\n"
+    "  replica1 picks=0 errors=0 | client requests=0 attempts=0 retries=0 "
+    "ok=0 failed=0 denied=0 rejected=0 | service admitted=0 completed=0 "
+    "rejected=0 hits=0 misses=0 backend=0 leaders=0 waiters=0 "
+    "index_builds=0\n"
+    "shard1 requests=12 errors=0\n"
+    "  replica0 picks=12 errors=0 | client requests=12 attempts=12 "
+    "retries=0 ok=12 failed=0 denied=0 rejected=0 | service admitted=16 "
+    "completed=16 rejected=0 hits=12 misses=8 backend=4 leaders=4 waiters=0 "
+    "index_builds=12\n"
+    "  replica1 picks=0 errors=0 | client requests=0 attempts=0 retries=0 "
+    "ok=0 failed=0 denied=0 rejected=0 | service admitted=0 completed=0 "
+    "rejected=0 hits=0 misses=0 backend=0 leaders=0 waiters=0 "
+    "index_builds=0";
+
+// Replica (0, 0) fails its first two legs after 4 attempts each (8 samples
+// open its breaker); both fail over to (0, 1), and the other 14 picks skip
+// the open breaker, each counted as a failover.
+const char* const kPinnedFailover =
+    "router requests=16 fanouts=16 failovers=16 all_down=0 partials=0 "
+    "hedges=0 timeouts=0\n"
+    "shard0 requests=16 errors=0\n"
+    "  replica0 picks=2 errors=2 | client requests=2 attempts=8 retries=6 "
+    "ok=0 failed=2 denied=0 rejected=0 | service admitted=8 completed=8 "
+    "rejected=0 hits=0 misses=16 backend=0 leaders=8 waiters=0 "
+    "index_builds=0\n"
+    "  replica1 picks=16 errors=0 | client requests=16 attempts=16 "
+    "retries=0 ok=16 failed=0 denied=0 rejected=0 | service admitted=16 "
+    "completed=16 rejected=0 hits=12 misses=8 backend=4 leaders=4 waiters=0 "
+    "index_builds=12\n"
+    "shard1 requests=16 errors=0\n"
+    "  replica0 picks=16 errors=0 | client requests=16 attempts=16 "
+    "retries=0 ok=16 failed=0 denied=0 rejected=0 | service admitted=16 "
+    "completed=16 rejected=0 hits=12 misses=8 backend=4 leaders=4 waiters=0 "
+    "index_builds=12\n"
+    "  replica1 picks=0 errors=0 | client requests=0 attempts=0 retries=0 "
+    "ok=0 failed=0 denied=0 rejected=0 | service admitted=0 completed=0 "
+    "rejected=0 hits=0 misses=0 backend=0 leaders=0 waiters=0 "
+    "index_builds=0";
+
+TEST(InlineLegTest, AllHitSequenceRunsNoPoolTaskAndKeepsEveryCount) {
+  GraphDatabase db = MakeMolecules(24);
+  ShardedRouterOptions options;
+  options.num_shards = 2;
+  options.num_replicas = 2;
+  ShardedRouter router(db, options);
+  for (const Graph& pattern : PanelPatterns()) {
+    for (size_t i = 0; i < router.num_shards(); ++i) {
+      ASSERT_TRUE(router.shard(i, 0).Execute(MatchAll(pattern)).status.ok());
+    }
+  }
+  for (int round = 0; round < 3; ++round) {
+    for (const Graph& pattern : PanelPatterns()) {
+      QueryResult merged = router.Execute(MatchAll(pattern));
+      ASSERT_TRUE(merged.status.ok()) << merged.status.ToString();
+      EXPECT_TRUE(merged.from_cache);
+    }
+  }
+  router.Shutdown();
+  EXPECT_EQ(RouterPoolTasks(router), 0u);
+  EXPECT_EQ(FleetTally(router), kPinnedAllHit);
+}
+
+// One leg hits (resolved on the caller), the other misses (finished on the
+// pool); the merge must not care which path a leg took.
+TEST(InlineLegTest, HitAndMissLegsMergeLikeSingleService) {
+  GraphDatabase db = MakeMolecules(24);
+  QueryService reference(db, QueryServiceOptions{});
+  ShardedRouterOptions options;
+  options.num_shards = 2;
+  options.num_replicas = 2;
+  ShardedRouter router(db, options);
+  for (const Graph& pattern : PanelPatterns()) {
+    ASSERT_TRUE(router.shard(0, 0).Execute(MatchAll(pattern)).status.ok());
+    QueryResult expected = reference.Execute(MatchAll(pattern));
+    QueryResult merged = router.Execute(MatchAll(pattern));
+    ASSERT_TRUE(merged.status.ok()) << merged.status.ToString();
+    EXPECT_EQ(merged.embedding_count, expected.embedding_count);
+    EXPECT_EQ(merged.matched_graphs, expected.matched_graphs);
+    EXPECT_FALSE(merged.truncated);
+    EXPECT_FALSE(merged.from_cache);  // shard 1's leg ran the matcher
+  }
+  router.Shutdown();
+  EXPECT_EQ(router.shard(0, 0).Snapshot().cache_hits, 4u);
+  EXPECT_EQ(router.shard(1, 0).Snapshot().backend_executions, 4u);
+  EXPECT_LE(RouterPoolTasks(router), 4u);
+}
+
+// Replica (0, 0) fails every execution retryably: its first attempt cannot
+// resolve inline, so the leg's retries and failover run on the pool. The
+// tally was pinned from the build that ran every leg on the pool.
+TEST(InlineLegTest, RetryableFirstAttemptFailsOverThroughThePool) {
+  GraphDatabase db = MakeMolecules(24);
+  FaultPlan plan;
+  plan.seed = 11;
+  plan.At(FaultPoint::kExecutor).error_p = 1.0;
+  FaultInjector injector(plan);
+  ShardedRouterOptions options;
+  options.num_shards = 2;
+  options.num_replicas = 2;
+  options.chaos_injector = &injector;
+  options.chaos_shard = 0;
+  options.chaos_replica = 0;
+  options.client_options.sleep_on_backoff = false;
+  // Keeps the open breaker open for the whole test, whatever the timing.
+  options.client_options.breaker.open_cooldown_ms = 60000;
+  ShardedRouter router(db, options);
+  for (int round = 0; round < 4; ++round) {
+    for (const Graph& pattern : PanelPatterns()) {
+      QueryResult merged = router.Execute(MatchAll(pattern));
+      ASSERT_TRUE(merged.status.ok()) << merged.status.ToString();
+      EXPECT_FALSE(merged.truncated);
+    }
+  }
+  router.Shutdown();
+  EXPECT_GE(RouterPoolTasks(router), 1u);
+  EXPECT_EQ(FleetTally(router), kPinnedFailover);
+}
+
+// A leg the saturated pool refuses resolves kUnavailable, and the attempt it
+// had already started is still settled: every client's requests end as ok
+// or failed, so no breaker probe is left unrecorded.
+TEST(InlineLegTest, RefusedLegSettlesItsStartedAttempt) {
+  GraphDatabase db = MakeMolecules(16);
+  FaultPlan plan;
+  plan.seed = 7;
+  plan.At(FaultPoint::kVf2Slice).latency_p = 1.0;
+  plan.At(FaultPoint::kVf2Slice).latency_ms = 50;
+  FaultInjector injector(plan);
+  ShardedRouterOptions options;
+  options.num_shards = 4;
+  options.router_threads = 1;
+  options.router_queue = 1;
+  options.shard_options.fault_injector = &injector;
+  ShardedRouter router(db, options);
+  QueryRequest request = MatchAll(SingleVertexPattern(0));
+  request.allow_partial = true;
+  QueryResult merged = router.Execute(request);
+  ASSERT_TRUE(merged.status.ok()) << merged.status.ToString();
+  router.Shutdown();
+  for (size_t i = 0; i < router.num_shards(); ++i) {
+    const resilience::ClientStats c = router.client(i).stats();
+    EXPECT_EQ(c.requests, c.ok + c.failed) << "shard " << i;
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Snapshot under concurrency (it must be safe to call at any time)
 
 TEST(ShardedRouterTest, SnapshotIsSafeDuringConcurrentTraffic) {

@@ -75,6 +75,29 @@ FUNC_NAME_RE = re.compile(r"([A-Za-z_~][\w:~]*)\s*\($")
 CLASS_TYPE_TOKEN_RE = re.compile(r"[A-Za-z_][\w:]*")
 
 
+def _blank_escape(text, i):
+    """Blanks the escape starting at text[i] (a backslash) inside a literal.
+    A backslash-newline is a line continuation: its newline is kept."""
+    if i + 1 >= len(text):
+        return " "
+    return " \n" if text[i + 1] == "\n" else "  "
+
+
+def _ends_in_number(out):
+    """True when the stripped text so far ends inside a numeric literal: a
+    run of letters, digits, dots and separators that starts with a digit.
+    Literal contents are already blanked, so they never look like one."""
+    j = len(out)
+    while j > 0:
+        ch = out[j - 1]
+        if ch.isalnum() or ch == "." or (ch == "'" and j > 1
+                                         and out[j - 2].isalnum()):
+            j -= 1
+        else:
+            break
+    return j < len(out) and out[j].isdigit()
+
+
 def strip_comments_and_strings(text):
     """Blanks comment bodies and string/char literal contents with spaces,
     preserving line structure, columns and the enclosing quote characters."""
@@ -111,6 +134,13 @@ def strip_comments_and_strings(text):
                 i += 1
                 continue
             if c == "'":
+                # A digit separator (1'000, 0xFF'FF) continues a number; it
+                # does not open a char literal (u8'a' starts with a letter).
+                if (i + 1 < n and text[i + 1].isalnum()
+                        and _ends_in_number(out)):
+                    out.append(c)
+                    i += 1
+                    continue
                 state = CHAR
                 out.append(c)
                 i += 1
@@ -134,21 +164,23 @@ def strip_comments_and_strings(text):
             i += 1
         elif state == STRING:
             if c == "\\":
-                out.append("  ")
+                out.append(_blank_escape(text, i))
                 i += 2
                 continue
-            if c == '"':
+            # A literal cannot span a raw newline: ending it there keeps one
+            # stray quote from blanking the lines after it.
+            if c == '"' or c == "\n":
                 state = NORMAL
                 out.append(c)
             else:
-                out.append(" " if c != "\n" else c)
+                out.append(" ")
             i += 1
         elif state == CHAR:
             if c == "\\":
-                out.append("  ")
+                out.append(_blank_escape(text, i))
                 i += 2
                 continue
-            if c == "'":
+            if c == "'" or c == "\n":
                 state = NORMAL
                 out.append(c)
             else:

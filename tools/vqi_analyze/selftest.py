@@ -204,6 +204,14 @@ vqi_add_test(pure_test vqi_graph)
     "bench/label_request_id.cc":
         'r.GetCounter("vqi_x_total", "", {{"kind", "a"}, {"request_id", id}});\n',
     "src/service/raw_mutex.cc": "#include <mutex>\nstd::mutex mu;\n",
+    # Lexer traps: a digit separator and a spliced string literal must not
+    # hide or shift the violation after them.
+    "src/service/lexer_traps.cc": """\
+const int kLimit = 1'000;
+const char* kSpliced = "first half \\
+second half";
+std::mutex after_traps;
+""",
     "tests/lock_guard_test.cc":
         "void F() { std::lock_guard<std::mutex> lock(mu); }\n",
     "tests/rand_test.cc": "int F() { return rand() % 7; }\n",
@@ -288,7 +296,8 @@ PLANTED = {
                     "bench/metric_gauge_total.cc"),
     "metric-label": ("bench/label_case.cc", "bench/label_reserved.cc",
                      "bench/label_request_id.cc"),
-    "raw-mutex": ("src/service/raw_mutex.cc", "tests/lock_guard_test.cc"),
+    "raw-mutex": ("src/service/raw_mutex.cc", "tests/lock_guard_test.cc",
+                  "src/service/lexer_traps.cc"),
     "test-determinism": ("tests/rand_test.cc", "tests/mt19937_test.cc"),
     "no-analysis-optout": ("src/service/optout.h",),
     "vf2-csr": ("src/match/vf2.cc",),
@@ -301,6 +310,44 @@ CLEAN = ("bench/conventions_ok.cc", "tests/rng_ok_test.cc",
          "src/net/labels_ok.h", "src/shard/replica_labels_ok.h",
          "src/match/csr_graph.cc", "src/common/mutex.h",
          "src/common/thread_annotations.h", "bench/rand_ok.cc")
+
+
+# Token soups for the lexer's shape property: every construct that opens or
+# closes a literal or comment, including the two that shift lines when
+# mishandled (a digit separator, a backslash-newline inside a string or char
+# literal).
+SOUP_TOKENS = (
+    "1'000", "0xFF'FF", "0b1010'0101", "3.141'59", "'a'", "'\\''", "u8'x'",
+    "L'\\n'", '"str"', '"q\\"q"', '"spliced \\\n half"', "'\\\n'",
+    "// line comment\n", "/* block\n comment */", 'R"x(raw " \n)x"',
+    "std::mutex", "x1", "+", ";", " ", "  ", "\n", "\n",
+)
+
+
+# Exact strips of the lexer traps: separators stay code, literals blank.
+STRIP_CASES = (
+    ("int n = 1'000'000; char c = 'x';", "int n = 1'000'000; char c = ' ';"),
+    ("long h = 0xFF'FF, b = 0b1'0; auto u = u8'a'; float f = 3.1'4;",
+     "long h = 0xFF'FF, b = 0b1'0; auto u = u8' '; float f = 3.1'4;"),
+    ('const char* s = "a\\\nb"; char d = \'\\\n\';',
+     'const char* s = "  \n "; char d = \' \n\';'),
+)
+
+
+def _token_soup(seed):
+    """A seeded soup of SOUP_TOKENS ending in a code-only sentinel line."""
+    import random
+    rng = random.Random(seed)
+    body = "".join(rng.choice(SOUP_TOKENS) for _ in range(rng.randint(5, 60)))
+    return body + f"\nint sentinel_{seed};\n"
+
+
+def _strip_keeps_shape(text):
+    """Stripping keeps the line count and every line's length."""
+    from . import cxx
+    stripped = cxx.strip_comments_and_strings(text)
+    return ([len(line) for line in stripped.split("\n")] ==
+            [len(line) for line in text.split("\n")])
 
 
 def _line_of(rel, suffix):
@@ -393,9 +440,35 @@ def run():
              _line_of("src/service/misspelt_waiver.cc", "waives nothing"))},
               "waiver-grammar flags the bare and the misspelt waiver only "
               f"({sorted(grammar)})")
+        raw_lines = [d["line"] for d in by_rule.get("raw-mutex", [])
+                     if d["rel"] == "src/service/lexer_traps.cc"]
+        check(raw_lines == [_line_of("src/service/lexer_traps.cc",
+                                     "after_traps;")],
+              "the raw mutex after a digit separator and a spliced string "
+              f"is reported on its own line (lines: {raw_lines})")
         lock = report["passes"]["lock-order"]
         check(any(set(c) == {"Pair::a_", "Pair::b_"} for c in lock["cycles"]),
               f"the a_/b_ inversion is the reported cycle ({lock['cycles']})")
+
+    from . import cxx
+    bent = [rel for rel, text in SCRATCH.items()
+            if rel.endswith(tuple(cxx.CXX_SUFFIXES))
+            and not _strip_keeps_shape(text)]
+    check(not bent, "stripping keeps every line and column of the planted "
+          f"tree (bent: {bent})")
+    wrong = [text for text, expected in STRIP_CASES
+             if cxx.strip_comments_and_strings(text) != expected]
+    check(not wrong, "digit separators stay code and spliced literals keep "
+          f"their newline (wrong: {wrong})")
+    bent = []
+    for seed in range(300):
+        soup = _token_soup(seed)
+        sentinel = f"int sentinel_{seed};"
+        if (not _strip_keeps_shape(soup) or sentinel not in
+                cxx.strip_comments_and_strings(soup).split("\n")):
+            bent.append(seed)
+    check(not bent, "stripping keeps every line and column of 300 seeded "
+          f"token soups, and their code (bent seeds: {bent[:10]})")
 
     if failures:
         print(f"vqi_analyze --self-test: {len(failures)} check(s) FAILED")
