@@ -18,6 +18,7 @@
 #include "bench_util.h"
 #include "common/stopwatch.h"
 #include "graph/generators.h"
+#include "match/pattern_utils.h"
 #include "service/query_service.h"
 #include "sim/workload.h"
 
@@ -28,23 +29,30 @@ constexpr uint64_t kSeed = 14;
 constexpr size_t kDbSize = 300;
 constexpr size_t kDistinctQueries = 48;
 // E14a replays the workload this many times so that its 1-thread row runs
-// for over a second: a run of a few tens of milliseconds is too short to
+// for about a second: a run of a few tens of milliseconds is too short to
 // show pool scaling.
 constexpr size_t kScalingRepeats = 80;
+// E14b draws this many queries and keeps the pairwise non-isomorphic ones,
+// so that its cache-off row runs for about a second; its cache holds them
+// all.
+constexpr size_t kCacheDraws = 20000;
+constexpr size_t kCacheCapacity = 16384;
 
 GraphDatabase MakeDb() {
   return gen::MoleculeDatabase(kDbSize, gen::MoleculeConfig{}, kSeed);
 }
 
-std::vector<QueryRequest> MakeRequests(const GraphDatabase& db,
-                                       size_t repeats) {
+std::vector<Graph> MakeQueries(const GraphDatabase& db, size_t count) {
   WorkloadConfig config;
-  config.num_queries = kDistinctQueries;
+  config.num_queries = count;
   config.min_edges = 3;
   config.max_edges = 8;
   config.seed = kSeed;
-  std::vector<Graph> queries = GenerateDbWorkload(db, config);
+  return GenerateDbWorkload(db, config);
+}
 
+std::vector<QueryRequest> MakeRequests(const std::vector<Graph>& queries,
+                                       size_t repeats) {
   // Interleave the repeats (q0, q1, ..., q0, q1, ...) so cached runs mix hits
   // and misses the way a panel of popular patterns would.
   std::vector<QueryRequest> requests;
@@ -113,7 +121,8 @@ QueryServiceOptions Options(size_t threads, size_t cache_capacity) {
 
 void RunScalingExperiment() {
   GraphDatabase db = MakeDb();
-  std::vector<QueryRequest> requests = MakeRequests(db, kScalingRepeats);
+  std::vector<QueryRequest> requests =
+      MakeRequests(MakeQueries(db, kDistinctQueries), kScalingRepeats);
   unsigned hw = std::thread::hardware_concurrency();
   std::printf("hardware threads: %u\n", hw);
   if (hw < 8) {
@@ -151,14 +160,22 @@ void RunScalingExperiment() {
 
 void RunCacheExperiment() {
   GraphDatabase db = MakeDb();
-  std::vector<QueryRequest> requests = MakeRequests(db, /*repeats=*/5);
+  const std::vector<Graph> queries =
+      DedupIsomorphic(MakeQueries(db, kCacheDraws));
+  std::vector<QueryRequest> requests = MakeRequests(queries, /*repeats=*/5);
   bench::Table table(
-      "E14b: canonical-form result cache on a repeated-query workload (4 "
-      "threads)",
+      "E14b: canonical-form result cache on a repeated-query workload (" +
+          std::to_string(queries.size()) +
+          " distinct queries x 5 rounds, 4 threads)",
       {"cache", "total (s)", "queries/s", "hit rate", "hits", "evictions"});
-  for (size_t capacity : {0u, 1024u}) {
-    QueryService service(db, Options(4, capacity));
-    ReplayOutcome outcome = Replay(service, requests, kDistinctQueries);
+  for (size_t capacity : {size_t{0}, kCacheCapacity}) {
+    QueryServiceOptions options = Options(4, capacity);
+    // A whole round fits in the queue, so no request is refused and probed
+    // again: each first-round request misses twice (admission and dequeue)
+    // and every later one hits, a hit rate of 4 in 6.
+    options.queue_capacity = 2 * queries.size();
+    QueryService service(db, options);
+    ReplayOutcome outcome = Replay(service, requests, queries.size());
     ServiceStats stats = service.Snapshot();
     uint64_t lookups = stats.cache_hits + stats.cache_misses;
     double hit_rate =
@@ -200,12 +217,7 @@ std::vector<QueryRequest> MakeDupWorkload(const std::vector<Graph>& queries,
 
 void RunCoalescingExperiment() {
   GraphDatabase db = MakeDb();
-  WorkloadConfig config;
-  config.num_queries = kDistinctQueries;
-  config.min_edges = 3;
-  config.max_edges = 8;
-  config.seed = kSeed;
-  std::vector<Graph> queries = GenerateDbWorkload(db, config);
+  std::vector<Graph> queries = MakeQueries(db, kDistinctQueries);
 
   // Cache off isolates single-flight coalescing: with it on, the dequeue-time
   // re-probe already rescues duplicates that arrive after their leader
@@ -245,7 +257,8 @@ void RunCoalescingExperiment() {
 
 void BM_ServiceMatchThroughput(benchmark::State& state) {
   GraphDatabase db = MakeDb();
-  std::vector<QueryRequest> requests = MakeRequests(db, /*repeats=*/1);
+  std::vector<QueryRequest> requests =
+      MakeRequests(MakeQueries(db, kDistinctQueries), /*repeats=*/1);
   size_t threads = static_cast<size_t>(state.range(0));
   for (auto _ : state) {
     QueryService service(db, Options(threads, /*cache_capacity=*/0));
@@ -264,7 +277,8 @@ BENCHMARK(BM_ServiceMatchThroughput)
 
 void BM_CachedSubmitLatency(benchmark::State& state) {
   GraphDatabase db = MakeDb();
-  std::vector<QueryRequest> requests = MakeRequests(db, /*repeats=*/1);
+  std::vector<QueryRequest> requests =
+      MakeRequests(MakeQueries(db, kDistinctQueries), /*repeats=*/1);
   QueryService service(db, Options(2, /*cache_capacity=*/1024));
   Replay(service, requests);  // warm the cache
   size_t i = 0;

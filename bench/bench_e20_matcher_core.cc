@@ -152,10 +152,8 @@ double Median(std::vector<double> values) {
 size_t RunCollectionScan() {
   GraphDatabase molecules = gen::MoleculeDatabase(kScanMolecules, {}, kSeed);
   const std::vector<Graph>& graphs = molecules.graphs();
-  // One shared index per molecule, truss-free like DbCoverageIndex's.
-  std::vector<MatchIndex> indexes;
-  indexes.reserve(graphs.size());
-  for (const Graph& g : graphs) indexes.emplace_back(g, kNoTrussShells);
+  // One shared index per molecule, truss-free as offline coverage builds it.
+  const CollectionIndex indexes(molecules, kNoTrussShells);
   Rng rng(kSeed ^ 0x5CA4);
   uint64_t steps = 0;
   uint64_t searched = 0;
@@ -168,8 +166,8 @@ size_t RunCollectionScan() {
     if (!pattern.has_value()) continue;
     ++patterns;
     const PatternPlan plan(*pattern, kNoTrussShells);
-    for (const MatchIndex& index : indexes) {
-      SubgraphMatcher matcher(plan, index);
+    for (size_t i = 0; i < indexes.size(); ++i) {
+      SubgraphMatcher matcher(plan, indexes.at(i));
       embedded += matcher.Exists() ? 1 : 0;
       steps += matcher.steps();
       searched += matcher.steps() > 0 ? 1 : 0;

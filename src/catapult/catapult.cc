@@ -16,10 +16,10 @@ std::vector<ScoredCandidate> ScoreCandidates(const GraphDatabase& db,
                                              const CognitiveLoadModel& model) {
   std::vector<ScoredCandidate> scored;
   scored.reserve(candidates.size());
-  DbCoverageIndex index(db);
+  const CollectionIndex index(db, kNoTrussShells);
   for (Graph& pattern : candidates) {
     ScoredCandidate c;
-    c.coverage = index.Bits(pattern);
+    c.coverage = CoverageBits(index, pattern);
     c.feature = PatternStructureFeature(pattern);
     c.load = CognitiveLoad(pattern, model);
     c.pattern = std::move(pattern);

@@ -204,41 +204,45 @@ PatternPlan::PatternPlan(const Graph& pattern,
   }
 }
 
-std::shared_ptr<const MatchIndex> MatchIndexCache::Get(const GraphDatabase& db,
-                                                       GraphId id) {
-  if (!db.Contains(id)) return nullptr;
-  const uint64_t version = db.ContentVersion(id);
-  {
-    MutexLock lock(&mutex_);
-    auto it = entries_.find(id);
-    if (it != entries_.end() && it->second.version == version &&
-        it->second.index != nullptr) {
-      return it->second.index;
-    }
-  }
-  // Build outside the lock: index construction is O(n + m + truss) and must
-  // not serialize readers of other graphs.
-  std::shared_ptr<const MatchIndex> built =
-      MatchIndex::Build(db.Get(id), options_);
-  builds_.fetch_add(1, std::memory_order_relaxed);
-  {
-    MutexLock lock(&mutex_);
-    Entry& entry = entries_[id];
-    entry.version = version;
-    entry.index = built;
-    // Cheap tombstone sweep: drop entries for ids that left the database so
-    // a long-lived service with churn does not accumulate dead indexes.
-    if (entries_.size() > 2 * db.size() + 16) {
-      for (auto it = entries_.begin(); it != entries_.end();) {
-        if (!db.Contains(it->first)) {
-          it = entries_.erase(it);
-        } else {
-          ++it;
-        }
+CollectionIndex::CollectionIndex(const GraphDatabase& db,
+                                 const CandidateIndexOptions& options)
+    : options_(options) {
+  IndexGraphs(db, nullptr);
+}
+
+CollectionIndex::CollectionIndex(const CollectionIndex& previous,
+                                 const GraphDatabase& db)
+    : options_(previous.options_) {
+  IndexGraphs(db, &previous);
+}
+
+void CollectionIndex::IndexGraphs(const GraphDatabase& db,
+                                  const CollectionIndex* previous) {
+  version_ = db.Version();
+  entries_.reserve(db.size());
+  position_.reserve(db.size());
+  for (const Graph& g : db.graphs()) {
+    const uint64_t content_version = db.ContentVersion(g.id());
+    std::shared_ptr<const MatchIndex> index;
+    if (previous != nullptr) {
+      auto it = previous->position_.find(g.id());
+      if (it != previous->position_.end() &&
+          previous->entries_[it->second].content_version == content_version) {
+        index = previous->entries_[it->second].index;
       }
     }
+    if (index == nullptr) {
+      index = MatchIndex::Build(g, options_);
+      ++builds_;
+    }
+    position_.emplace(g.id(), entries_.size());
+    entries_.push_back({g.id(), content_version, std::move(index)});
   }
-  return built;
+}
+
+const MatchIndex* CollectionIndex::Find(GraphId id) const {
+  auto it = position_.find(id);
+  return it == position_.end() ? nullptr : entries_[it->second].index.get();
 }
 
 }  // namespace vqi

@@ -2,15 +2,12 @@
 #define VQLIB_MATCH_CANDIDATE_INDEX_H_
 
 #include <array>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
 #include <vector>
 
-#include "common/mutex.h"
-#include "common/thread_annotations.h"
 #include "graph/graph.h"
 #include "graph/graph_database.h"
 #include "match/csr_graph.h"
@@ -168,34 +165,54 @@ struct PatternPlan {
   std::vector<int> anchors;      // row per seed vertex, see Anchors()
 };
 
-/// Thread-safe lazy cache of MatchIndex per graph id, validated against
-/// GraphDatabase::ContentVersion — a maintainer batch that re-adds a graph
-/// bumps its version, so the next lookup rebuilds instead of serving a stale
-/// index. Builds happen outside the lock; concurrent builders race benignly
-/// (last insert wins, both results are correct for the same version).
-class MatchIndexCache {
+/// One MatchIndex per graph of a GraphDatabase, in graphs() order, all built
+/// with one CandidateIndexOptions. Immutable once built, so threads share it
+/// without a lock. The copy-on-write constructor follows the database after
+/// edits: it shares the previous index's entry for every id whose
+/// GraphDatabase::ContentVersion is unchanged and builds the rest. Versions
+/// are drawn from one process-wide counter, so an index built from one copy
+/// of a database never serves another copy's edit of the same id.
+class CollectionIndex {
  public:
-  /// Every index this cache builds uses `options`.
-  explicit MatchIndexCache(const CandidateIndexOptions& options = {})
-      : options_(options) {}
+  /// Indexes every graph of `db` with `options`.
+  CollectionIndex(const GraphDatabase& db,
+                  const CandidateIndexOptions& options);
 
-  /// The current index for `id`, building it if missing or out of date.
-  /// Returns nullptr when `db` does not contain `id`.
-  std::shared_ptr<const MatchIndex> Get(const GraphDatabase& db, GraphId id);
+  /// Indexes `db` with `previous`'s options, sharing `previous`'s index of
+  /// every id whose content version is unchanged. Ids are matched by id, not
+  /// by position: GraphDatabase::Remove reorders graphs().
+  CollectionIndex(const CollectionIndex& previous, const GraphDatabase& db);
 
-  /// Total index builds since construction (serving-layer observability).
-  uint64_t builds() const { return builds_.load(std::memory_order_relaxed); }
+  size_t size() const { return entries_.size(); }
+  /// Id and index of the i-th graph in the database's graphs() order.
+  GraphId id(size_t i) const { return entries_[i].id; }
+  const MatchIndex& at(size_t i) const { return *entries_[i].index; }
+  /// The index of graph `id`, or nullptr when the database did not hold it.
+  const MatchIndex* Find(GraphId id) const;
+
+  /// The GraphDatabase::Version() this index was built at.
+  uint64_t version() const { return version_; }
+  /// The options every entry was built with: compile a PatternPlan with
+  /// them.
+  const CandidateIndexOptions& options() const { return options_; }
+  /// Entries this instance built rather than shared from a previous index.
+  size_t builds() const { return builds_; }
 
  private:
   struct Entry {
-    uint64_t version = 0;
+    GraphId id = -1;
+    uint64_t content_version = 0;
     std::shared_ptr<const MatchIndex> index;
   };
 
-  const CandidateIndexOptions options_;
-  mutable Mutex mutex_;
-  std::unordered_map<GraphId, Entry> entries_ VQLIB_GUARDED_BY(mutex_);
-  std::atomic<uint64_t> builds_{0};
+  // Fills the entries from `db`, sharing from `previous` when non-null.
+  void IndexGraphs(const GraphDatabase& db, const CollectionIndex* previous);
+
+  CandidateIndexOptions options_;
+  uint64_t version_ = 0;
+  std::vector<Entry> entries_;                   // graphs() order
+  std::unordered_map<GraphId, size_t> position_;  // id -> entries_ index
+  size_t builds_ = 0;
 };
 
 }  // namespace vqi

@@ -16,41 +16,36 @@ uint64_t EdgeKey(VertexId u, VertexId v) {
 }  // namespace
 
 Bitset CoverageBits(const GraphDatabase& db, const Graph& pattern) {
-  return DbCoverageIndex(db).Bits(pattern);
+  return CoverageBits(CollectionIndex(db, kNoTrussShells), pattern);
 }
 
 double DbCoverage(const GraphDatabase& db, const Graph& pattern) {
-  return DbCoverageIndex(db).Fraction(pattern);
+  return DbCoverage(CollectionIndex(db, kNoTrussShells), pattern);
 }
 
 double DbSetCoverage(const GraphDatabase& db,
                      const std::vector<Graph>& patterns) {
   if (db.empty()) return 0.0;
-  DbCoverageIndex index(db);
+  const CollectionIndex index(db, kNoTrussShells);
   Bitset covered(db.size());
-  for (const Graph& p : patterns) covered.UnionWith(index.Bits(p));
+  for (const Graph& p : patterns) covered.UnionWith(CoverageBits(index, p));
   return static_cast<double>(covered.Count()) /
          static_cast<double>(db.size());
 }
 
-DbCoverageIndex::DbCoverageIndex(const GraphDatabase& db) {
-  indexes_.reserve(db.size());
-  for (const Graph& g : db.graphs()) indexes_.emplace_back(g, kNoTrussShells);
-}
-
-Bitset DbCoverageIndex::Bits(const Graph& pattern) const {
-  Bitset bits(indexes_.size());
-  PatternPlan plan(pattern, kNoTrussShells);
-  for (size_t i = 0; i < indexes_.size(); ++i) {
-    if (SubgraphMatcher(plan, indexes_[i]).Exists()) bits.Set(i);
+Bitset CoverageBits(const CollectionIndex& index, const Graph& pattern) {
+  Bitset bits(index.size());
+  PatternPlan plan(pattern, index.options());
+  for (size_t i = 0; i < index.size(); ++i) {
+    if (SubgraphMatcher(plan, index.at(i)).Exists()) bits.Set(i);
   }
   return bits;
 }
 
-double DbCoverageIndex::Fraction(const Graph& pattern) const {
-  if (indexes_.empty()) return 0.0;
-  return static_cast<double>(Bits(pattern).Count()) /
-         static_cast<double>(indexes_.size());
+double DbCoverage(const CollectionIndex& index, const Graph& pattern) {
+  if (index.size() == 0) return 0.0;
+  return static_cast<double>(CoverageBits(index, pattern).Count()) /
+         static_cast<double>(index.size());
 }
 
 Bitset NetworkCoverageBits(const Graph& network,

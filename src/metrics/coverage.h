@@ -19,8 +19,8 @@ namespace vqi {
 /// least one pattern.
 
 /// Bitset over db.graphs() order: bit i set iff pattern occurs in graph i.
-/// Builds a DbCoverageIndex for this one pattern; loops over many patterns
-/// should build one and reuse it.
+/// Builds a CollectionIndex for this one pattern; loops over many patterns
+/// should build one and call the overload below.
 Bitset CoverageBits(const GraphDatabase& db, const Graph& pattern);
 
 /// Fraction of graphs covered by `pattern` alone.
@@ -30,25 +30,16 @@ double DbCoverage(const GraphDatabase& db, const Graph& pattern);
 double DbSetCoverage(const GraphDatabase& db,
                      const std::vector<Graph>& patterns);
 
-/// One MatchIndex per graph of a collection, built once and shared by every
-/// pattern a call scores against it (CATAPULT select, MIDAS, the VQI builder
-/// and maintainer). The checks are unbudgeted existence tests, so every
-/// index kind gives the same bits. The indexes skip truss shells: on
+/// The same scores against a CollectionIndex built once and shared by every
+/// pattern a call scores (CATAPULT's ScoreCandidates, DbSetCoverage).
+/// The checks are unbudgeted existence tests, so every index kind gives the
+/// same bits; offline callers build theirs with kNoTrussShells, since on
 /// molecule-sized graphs the decomposition costs more than its pruning
-/// saves. Valid until `db` changes.
-class DbCoverageIndex {
- public:
-  explicit DbCoverageIndex(const GraphDatabase& db);
+/// saves. Bit i is the index's i-th graph, its database's graphs() order.
+Bitset CoverageBits(const CollectionIndex& index, const Graph& pattern);
 
-  /// Bitset over db.graphs() order: bit i set iff `pattern` occurs in graph i.
-  Bitset Bits(const Graph& pattern) const;
-
-  /// Fraction of graphs covered by `pattern` (0 on an empty collection).
-  double Fraction(const Graph& pattern) const;
-
- private:
-  std::vector<MatchIndex> indexes_;
-};
+/// Fraction of the index's graphs covered by `pattern` (0 when it is empty).
+double DbCoverage(const CollectionIndex& index, const Graph& pattern);
 
 /// --- Network coverage (TATTOO semantics) ----------------------------------
 /// On a single large network, coverage of a pattern is the fraction of the

@@ -37,9 +37,16 @@ std::vector<FrequentTree> MaintainClosedTrees(
     const BatchUpdate& update, const TreeMinerConfig& config) {
   std::unordered_set<GraphId> deleted(update.deletions.begin(),
                                       update.deletions.end());
-  // Every tree is matched against the same additions: one index per added
-  // graph for the whole call (trees never prune with truss shells).
-  MatchIndexCache indexes(kNoTrussShells);
+  // Every tree is matched against the same additions (only those actually
+  // in the db now): one index per added graph for the whole call (trees
+  // never prune with truss shells).
+  std::vector<GraphId> added_ids;
+  std::vector<MatchIndex> added_indexes;
+  for (const Graph& added : update.additions) {
+    if (!db.Contains(added.id())) continue;
+    added_ids.push_back(added.id());
+    added_indexes.emplace_back(db.Get(added.id()), kNoTrussShells);
+  }
   std::vector<FrequentTree> maintained;
   for (FrequentTree& t : trees) {
     // 1. Drop deleted ids.
@@ -47,12 +54,11 @@ std::vector<FrequentTree> MaintainClosedTrees(
         t.support.begin(), t.support.end(),
         [&](GraphId id) { return deleted.count(id) > 0; });
     t.support.erase(end, t.support.end());
-    // 2. Match against additions (only those actually in the db now).
+    // 2. Match against additions.
     PatternPlan plan(t.tree, kNoTrussShells);
-    for (const Graph& added : update.additions) {
-      if (!db.Contains(added.id())) continue;
-      if (SubgraphMatcher(plan, *indexes.Get(db, added.id())).Exists()) {
-        t.support.push_back(added.id());
+    for (size_t i = 0; i < added_ids.size(); ++i) {
+      if (SubgraphMatcher(plan, added_indexes[i]).Exists()) {
+        t.support.push_back(added_ids[i]);
       }
     }
     std::sort(t.support.begin(), t.support.end());

@@ -64,7 +64,8 @@ std::vector<FrequentTree> MineFrequentTrees(const GraphDatabase& db,
   // against graphs of its parent's support set, so each graph's index is
   // built once for the whole call; tree patterns (all shells 2) never prune
   // with truss shells, so the indexes skip them.
-  MatchIndexCache indexes(kNoTrussShells);
+  if (config.max_edges < 2 || level.empty()) return result;
+  const CollectionIndex indexes(db, kNoTrussShells);
   for (size_t edges = 2; edges <= config.max_edges && !level.empty();
        ++edges) {
     std::vector<FrequentTree> next;
@@ -89,7 +90,7 @@ std::vector<FrequentTree> MineFrequentTrees(const GraphDatabase& db,
             PatternPlan plan(candidate, kNoTrussShells);
             std::vector<GraphId> support;
             for (GraphId gid : parent.support) {
-              if (SubgraphMatcher(plan, *indexes.Get(db, gid)).Exists()) {
+              if (SubgraphMatcher(plan, *indexes.Find(gid)).Exists()) {
                 support.push_back(gid);
               }
             }

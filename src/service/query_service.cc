@@ -6,6 +6,7 @@
 #include <thread>
 #include <utility>
 
+#include "common/logging.h"
 #include "match/canonical.h"
 
 namespace vqi {
@@ -531,9 +532,19 @@ QueryResult QueryService::RunMatch(const QueryRequest& request,
     result.status = request.allow_partial ? Status::OK()
                                           : Status::DeadlineExceeded(why);
   };
+  // One pin per request: every target is matched through the view of the
+  // database's current Version(), with no lock taken per target graph.
+  const std::shared_ptr<const View> view = PinView();
+  const CollectionIndex& indexes = view->matches;
+  auto find = [&indexes](GraphId id) -> const MatchIndex& {
+    const MatchIndex* index = indexes.Find(id);
+    // Admission checked the id, and the database is not edited mid-request.
+    VQI_CHECK(index != nullptr) << "graph id " << id << " not found";
+    return *index;
+  };
   // Pattern-side prep is compiled once per request, not per target or slice.
-  const PatternPlan plan(request.pattern);
-  auto match_one = [&](const Graph& target) -> Status {
+  const PatternPlan plan(request.pattern, indexes.options());
+  auto match_one = [&](GraphId id, const MatchIndex& target) -> Status {
     if (CancelRequested(request)) {
       return Status::Cancelled("request cancelled between targets");
     }
@@ -547,12 +558,12 @@ QueryResult QueryService::RunMatch(const QueryRequest& request,
       // On deadline, `count` is the partial lower bound from the final
       // slice — still a subset of the true answer.
       result.embedding_count += count;
-      if (count > 0) result.matched_graphs.push_back(target.id());
+      if (count > 0) result.matched_graphs.push_back(id);
     }
     return s;
   };
-  auto match_many = [&](const Graph& target) -> bool {
-    Status s = match_one(target);
+  auto match_many = [&](GraphId id, const MatchIndex& target) -> bool {
+    Status s = match_one(id, target);
     if (s.code() == StatusCode::kDeadlineExceeded) {
       truncate("deadline expired mid-collection");
       return false;
@@ -566,14 +577,15 @@ QueryResult QueryService::RunMatch(const QueryRequest& request,
 
   if (!request.targets.empty()) {
     for (GraphId id : request.targets) {
-      if (!match_many(db_.Get(id))) return result;
+      if (!match_many(id, find(id))) return result;
     }
   } else if (request.target == kAllGraphs) {
-    for (const Graph& target : db_.graphs()) {
-      if (!match_many(target)) return result;
+    // The view keeps graphs() order, so matched_graphs does too.
+    for (size_t i = 0; i < indexes.size(); ++i) {
+      if (!match_many(indexes.id(i), indexes.at(i))) return result;
     }
   } else {
-    Status s = match_one(db_.Get(request.target));
+    Status s = match_one(request.target, find(request.target));
     if (s.code() == StatusCode::kDeadlineExceeded) {
       truncate("deadline expired while matching");
       return result;
@@ -589,33 +601,48 @@ QueryResult QueryService::RunMatch(const QueryRequest& request,
 
 QueryResult QueryService::RunSuggest(const QueryRequest& request) {
   QueryResult result;
-  result.suggestions = CurrentSuggestions()->SuggestNextEdges(
+  result.suggestions = PinView()->suggestions.SuggestNextEdges(
       request.pattern, request.focus, request.top_k);
   result.status = Status::OK();
   return result;
 }
 
-std::shared_ptr<const SuggestionIndex> QueryService::CurrentSuggestions() {
+std::shared_ptr<const QueryService::View> QueryService::PinView() {
+  // Nullptr is "no view yet": an empty, never-edited database has Version 0.
   const uint64_t version = db_.Version();
+  std::shared_future<std::shared_ptr<const View>> pending;
+  std::optional<std::promise<std::shared_ptr<const View>>> built;
+  std::shared_ptr<const View> previous;
   {
-    MutexLock lock(&suggestions_mutex_);
-    if (suggestions_ != nullptr && suggestions_version_ == version) {
-      return suggestions_;
+    MutexLock lock(&view_mutex_);
+    if (view_ != nullptr && view_->matches.version() == version) return view_;
+    if (building_.valid()) {
+      pending = building_;
+    } else {
+      built.emplace();
+      building_ = built->get_future().share();
+      previous = view_;
     }
   }
-  // Build outside the lock, as MatchIndexCache does: the scan covers every
-  // edge of the collection and must not serialize suggest requests that
-  // already hold the current index.
-  auto built =
-      std::make_shared<const SuggestionIndex>(SuggestionIndex::Build(db_));
-  MutexLock lock(&suggestions_mutex_);
-  suggestions_ = built;
-  suggestions_version_ = version;
-  return built;
+  if (pending.valid()) return pending.get();
+  // Built with no lock held: the scan covers every graph of the collection,
+  // and its waiters block on the future, not on the mutex.
+  auto next = std::make_shared<const View>(View{
+      previous == nullptr ? CollectionIndex(db_, CandidateIndexOptions{})
+                          : CollectionIndex(previous->matches, db_),
+      SuggestionIndex::Build(db_)});
+  index_builds_.fetch_add(next->matches.builds(), std::memory_order_relaxed);
+  {
+    MutexLock lock(&view_mutex_);
+    view_ = next;
+    building_ = {};
+  }
+  built->set_value(next);
+  return next;
 }
 
 Status QueryService::CountWithDeadline(const PatternPlan& pattern,
-                                       const Graph& target,
+                                       const MatchIndex& target,
                                        const QueryRequest& request,
                                        const Stopwatch& admitted,
                                        uint64_t* count, QueryResult* result) {
@@ -634,18 +661,13 @@ Status QueryService::CountWithDeadline(const PatternPlan& pattern,
 
   MatchOptions opts = options_.match_options;
   opts.max_embeddings = request.max_embeddings;
-  // One index fetch per (request, target): slices reuse the same immutable
-  // snapshot, and the cache revalidates against the database's content
-  // version so a maintainer rewrite of this graph forces a rebuild here.
-  std::shared_ptr<const MatchIndex> index =
-      index_cache_.Get(db_, target.id());
   if (request.deadline_ms <= 0) {
     opts.max_steps = 0;
     if (CancelRequested(request)) {
       return Status::Cancelled("request cancelled before matching");
     }
     VQI_RETURN_IF_ERROR(slice_fault());
-    SubgraphMatcher matcher(pattern, *index, opts);
+    SubgraphMatcher matcher(pattern, target, opts);
     *count = matcher.CountEmbeddings();
     result->match_steps += matcher.steps();
     result->match_slices += 1;
@@ -663,7 +685,7 @@ Status QueryService::CountWithDeadline(const PatternPlan& pattern,
     }
     VQI_RETURN_IF_ERROR(slice_fault());
     opts.max_steps = slice;
-    SubgraphMatcher matcher(pattern, *index, opts);
+    SubgraphMatcher matcher(pattern, target, opts);
     // Each slice recounts from scratch, so overwrite rather than accumulate:
     // after a deadline the last value is the best lower bound found.
     *count = matcher.CountEmbeddings();
@@ -762,7 +784,7 @@ ServiceStats QueryService::Snapshot() const {
   obs::HistogramSnapshot latency = latency_ms_->Snapshot();
   stats.p50_latency_ms = latency.Quantile(0.50);
   stats.p99_latency_ms = latency.Quantile(0.99);
-  stats.index_builds = index_cache_.builds();
+  stats.index_builds = index_builds_.load(std::memory_order_relaxed);
   return stats;
 }
 

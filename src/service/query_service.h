@@ -53,9 +53,10 @@ struct ServiceStats {
   uint64_t coalesce_fanout = 0;    ///< waiter responses served from a leader
   double p50_latency_ms = 0;
   double p99_latency_ms = 0;
-  /// MatchIndex builds (lazy, content-version driven). Steady state is one
-  /// per distinct target graph; growth after that means maintenance batches
-  /// are rewriting graphs (each rewrite forces one rebuild on next use).
+  /// MatchIndex builds. The first request indexes every graph of the
+  /// collection, and the first after an edit rebuilds only the graphs whose
+  /// content version moved, so steady state is one per graph and each
+  /// rewritten graph adds one.
   uint64_t index_builds = 0;
 };
 
@@ -148,7 +149,10 @@ static_assert(FieldCount<QueryServiceOptions>() == 13,
 /// between requests (e.g. VqiMaintainer batches), never during one. Cache
 /// and coalescing keys carry the content versions of the data each result
 /// reads, so an edit reroutes exactly the lookups it affects: no caller has
-/// to invalidate anything for results to stay fresh.
+/// to invalidate anything for results to stay fresh. Execution reads one
+/// immutable view per database Version(): a CollectionIndex of every graph
+/// and the SuggestionIndex, built by the first request after an edit, copy-
+/// on-write from the previous view, and pinned once per request.
 class QueryService {
  public:
   explicit QueryService(const GraphDatabase& db,
@@ -197,16 +201,23 @@ class QueryService {
   QueryResult Run(const QueryRequest& request, const Stopwatch& admitted);
   QueryResult RunMatch(const QueryRequest& request, const Stopwatch& admitted);
   QueryResult RunSuggest(const QueryRequest& request);
-  /// The suggestion index of the database's current Version(), rebuilt
-  /// (outside the lock) by the first caller after an edit.
-  std::shared_ptr<const SuggestionIndex> CurrentSuggestions()
-      VQLIB_EXCLUDES(suggestions_mutex_);
+  /// What execution reads of one database Version(): every graph's match
+  /// index, built with truss shells, and the suggestion index.
+  struct View {
+    CollectionIndex matches;
+    SuggestionIndex suggestions;
+  };
+  /// The view of the database's current Version(). The first caller after
+  /// an edit builds it copy-on-write from the held view with no lock held;
+  /// callers arriving during the build wait for it (single-flight).
+  std::shared_ptr<const View> PinView() VQLIB_EXCLUDES(view_mutex_);
   /// Counts embeddings of the request's compiled `pattern` in `target` in
   /// cooperative step slices. Returns OK when the count completed,
   /// kDeadlineExceeded when the deadline expired first (*count then holds the
   /// partial lower bound from the final slice), or an injected vf2_slice
   /// fault status. Accumulates slice/step telemetry into `result`.
-  Status CountWithDeadline(const PatternPlan& pattern, const Graph& target,
+  Status CountWithDeadline(const PatternPlan& pattern,
+                           const MatchIndex& target,
                            const QueryRequest& request,
                            const Stopwatch& admitted, uint64_t* count,
                            QueryResult* result);
@@ -249,21 +260,20 @@ class QueryService {
 
   const GraphDatabase& db_;
   QueryServiceOptions options_;
-  /// Lazy per-graph CSR + candidate indexes, revalidated against the
-  /// database's content versions on every fetch: every kMatchCount request
-  /// matches through them (see docs/matching.md).
-  MatchIndexCache index_cache_;
   // Declared before cache_/pool_: both register instruments here during
   // construction and hold references for their lifetime.
   obs::MetricsRegistry metrics_;
   // The registry in use: options_.metrics when provided, else &metrics_.
   obs::MetricsRegistry* registry_;
   obs::TraceRecorder traces_;
-  // The suggestion index and the database Version() it was built from.
-  Mutex suggestions_mutex_;
-  std::shared_ptr<const SuggestionIndex> suggestions_
-      VQLIB_GUARDED_BY(suggestions_mutex_);
-  uint64_t suggestions_version_ VQLIB_GUARDED_BY(suggestions_mutex_) = 0;
+  // The latest view (nullptr before the first request that needs one) and,
+  // while the next one is being built, the future its waiters block on.
+  Mutex view_mutex_;
+  std::shared_ptr<const View> view_ VQLIB_GUARDED_BY(view_mutex_);
+  std::shared_future<std::shared_ptr<const View>> building_
+      VQLIB_GUARDED_BY(view_mutex_);
+  // Sum of builds() over the views this service built.
+  std::atomic<uint64_t> index_builds_{0};
   ShardedLruCache<QueryResult> cache_;
   // Declared before pool_: leader tasks running during pool shutdown still
   // fan out through the table and the budget.

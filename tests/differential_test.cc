@@ -384,7 +384,7 @@ TEST(CoverageTest, BitsEqualOracleOnCollection) {
   GraphDatabase molecules = gen::MoleculeDatabase(100, {}, 0xC0FE);
   GraphDatabase collection;
   for (size_t i = 0; i < 60; ++i) collection.Add(molecules.graphs()[i]);
-  const DbCoverageIndex coverage(collection);
+  const CollectionIndex coverage(collection, kNoTrussShells);
   Rng rng(0xB175);
   size_t patterns = 0;
   size_t covered = 0;
@@ -394,7 +394,7 @@ TEST(CoverageTest, BitsEqualOracleOnCollection) {
           molecules.graphs()[i], 2 + rng.UniformInt(6), rng);
       if (!pattern.has_value()) continue;
       ++patterns;
-      const Bitset bits = coverage.Bits(*pattern);
+      const Bitset bits = CoverageBits(coverage, *pattern);
       for (size_t g = 0; g < collection.size(); ++g) {
         const bool embeds = !naive::AllEmbeddings(
                                  *pattern, collection.graphs()[g], {})

@@ -462,10 +462,10 @@ size_t CheckPlanOrders(const Graph& pattern) {
   return unanchored;
 }
 
-// Two copies of a database each replace id x with different content; a
-// cache filled from one copy must rebuild for the other, not serve the
-// first copy's index.
-TEST(MatchIndexCacheTest, CacheFilledFromOneCopyRebuildsForTheOther) {
+// Two copies of a database each replace id x with different content; an
+// index built from one copy must rebuild for the other, not share the
+// first copy's entry.
+TEST(CollectionIndexTest, IndexBuiltFromOneCopyRebuildsForTheOther) {
   GraphDatabase a;
   const GraphId x = a.Add(builder::Path(3));
   GraphDatabase b = a;
@@ -478,17 +478,65 @@ TEST(MatchIndexCacheTest, CacheFilledFromOneCopyRebuildsForTheOther) {
   path.set_id(x);
   b.Add(std::move(path));
 
-  MatchIndexCache cache(kNoTrussShells);
-  std::shared_ptr<const MatchIndex> from_a = cache.Get(a, x);
-  std::shared_ptr<const MatchIndex> from_b = cache.Get(b, x);
+  const CollectionIndex index_a(a, kNoTrussShells);
+  const CollectionIndex index_b(index_a, b);
+  const MatchIndex* from_a = index_a.Find(x);
+  const MatchIndex* from_b = index_b.Find(x);
   ASSERT_NE(from_a, nullptr);
   ASSERT_NE(from_b, nullptr);
-  EXPECT_EQ(cache.builds(), 2u);
+  EXPECT_EQ(index_a.builds() + index_b.builds(), 2u);
   EXPECT_EQ(from_a->csr.NumVertices(), 3u);
   EXPECT_EQ(from_b->csr.NumVertices(), 5u);
   PatternPlan triangle_plan(builder::Triangle(), kNoTrussShells);
   EXPECT_TRUE(SubgraphMatcher(triangle_plan, *from_a).Exists());
   EXPECT_FALSE(SubgraphMatcher(triangle_plan, *from_b).Exists());
+}
+
+// After a rewrite, a removal (which reorders graphs()) and an addition, the
+// copy-on-write constructor shares the very same index of every unchanged
+// id, builds the rewritten and the added ids, drops the removed one, and
+// keeps the database's graphs() order.
+TEST(CollectionIndexTest, CopyOnWriteSharesUnchangedIdsAndBuildsTheRest) {
+  GraphDatabase db;
+  for (size_t n = 2; n < 8; ++n) db.Add(builder::Path(n));
+  const CollectionIndex before(db, kNoTrussShells);
+  EXPECT_EQ(before.builds(), db.size());
+  EXPECT_EQ(before.version(), db.Version());
+
+  const GraphId rewritten = db.graphs()[1].id();
+  const GraphId removed = db.graphs()[3].id();
+  ASSERT_TRUE(db.Remove(rewritten));
+  Graph triangle = builder::Triangle();
+  triangle.set_id(rewritten);
+  db.Add(std::move(triangle));
+  ASSERT_TRUE(db.Remove(removed));
+  const GraphId added = db.Add(builder::Star(3));
+
+  const CollectionIndex after(before, db);
+  EXPECT_EQ(after.builds(), 2u);  // the rewritten and the added id
+  EXPECT_EQ(after.version(), db.Version());
+  EXPECT_FALSE(after.options().use_truss);
+  EXPECT_NE(before.Find(removed), nullptr);
+  EXPECT_EQ(after.Find(removed), nullptr);
+  ASSERT_EQ(after.size(), db.size());
+  size_t shared = 0;
+  for (size_t i = 0; i < after.size(); ++i) {
+    const Graph& g = db.graphs()[i];
+    EXPECT_EQ(after.id(i), g.id());
+    EXPECT_EQ(&after.at(i), after.Find(g.id()));
+    EXPECT_EQ(after.at(i).csr.NumVertices(), g.NumVertices());
+    EXPECT_EQ(after.at(i).csr.NumEdges(), g.NumEdges());
+    if (g.id() == rewritten || g.id() == added) {
+      EXPECT_NE(after.Find(g.id()), before.Find(g.id()));
+    } else {
+      EXPECT_EQ(after.Find(g.id()), before.Find(g.id()));
+      ++shared;
+    }
+  }
+  EXPECT_EQ(shared, after.size() - 2);
+  PatternPlan triangle_plan(builder::Triangle(), kNoTrussShells);
+  EXPECT_FALSE(SubgraphMatcher(triangle_plan, *before.Find(rewritten)).Exists());
+  EXPECT_TRUE(SubgraphMatcher(triangle_plan, *after.Find(rewritten)).Exists());
 }
 
 TEST(PatternPlanTest, OrdersFromEverySeedAnchorAtEarlierNeighbors) {

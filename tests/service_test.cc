@@ -13,6 +13,7 @@
 
 #include "common/mutex.h"
 #include "graph/generators.h"
+#include "graph/graph_builder.h"
 #include "gtest/gtest.h"
 #include "obs/export.h"
 #include "service/lru_cache.h"
@@ -602,8 +603,9 @@ TEST(QueryServiceTest, MaintainerBatchRebuildsOwnerGraphMatchIndex) {
   // End-to-end index invalidation: a maintainer batch that rewrites one
   // graph's edge set (delete + re-add under the same id) must force the
   // match-index layer to rebuild that graph's index — a stale-index answer
-  // is impossible because the index cache revalidates against the database's
-  // content version, the same version the result cache is keyed by.
+  // is impossible because the service's view follows the database's
+  // Version() and rebuilds every id whose content version moved, the same
+  // versions the result cache is keyed by.
   GraphDatabase db = gen::MoleculeDatabase(40, gen::MoleculeConfig{}, 45);
   // Deterministic extra member: P4, all labels 0 — the (0,0) edge pattern
   // embeds 3 edges x 2 orientations = 6 ways.
@@ -641,7 +643,8 @@ TEST(QueryServiceTest, MaintainerBatchRebuildsOwnerGraphMatchIndex) {
   EXPECT_EQ(before.embedding_count, 6u);
   ASSERT_TRUE(service.Execute(request).from_cache);
   const uint64_t builds_before = service.Snapshot().index_builds;
-  EXPECT_EQ(builds_before, 1u);  // one target graph queried so far
+  // The first request indexes the whole collection, whatever its target.
+  EXPECT_EQ(builds_before, db.size());
 
   // The batch rewrites the member's edges under the same id: 1-2 goes away,
   // 0-2 and 0-3 appear (4 edges -> 8 embeddings).
@@ -667,6 +670,41 @@ TEST(QueryServiceTest, MaintainerBatchRebuildsOwnerGraphMatchIndex) {
   EXPECT_EQ(after.matched_graphs, expected.matched_graphs);
   // Exactly one rebuild: the rewritten graph's index, nothing else.
   EXPECT_EQ(service.Snapshot().index_builds, builds_before + 1);
+}
+
+TEST(QueryServiceTest, ConcurrentColdRequestsBuildEachIndexOnce) {
+  // Requests that reach a fresh service together share one build of the
+  // collection's view: every graph is indexed once, and after a rewrite only
+  // the rewritten graph is indexed again.
+  GraphDatabase db = gen::MoleculeDatabase(240, gen::MoleculeConfig{}, 23);
+  QueryServiceOptions options;
+  options.num_threads = 4;
+  QueryService service(db, options);
+  // Eight distinct whole-collection patterns (carbon paths of 1-8 edges),
+  // all submitted before any is awaited.
+  auto submit_together = [&service] {
+    std::vector<std::future<QueryResult>> futures;
+    for (size_t edges = 1; edges <= 8; ++edges) {
+      QueryRequest request;
+      request.pattern = builder::Path(edges + 1);
+      request.target = kAllGraphs;
+      auto submitted = service.Submit(std::move(request));
+      ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+      futures.push_back(std::move(submitted).value());
+    }
+    for (std::future<QueryResult>& future : futures) {
+      EXPECT_TRUE(future.get().status.ok());
+    }
+  };
+  submit_together();
+  EXPECT_EQ(service.Snapshot().index_builds, db.size());
+
+  const GraphId rewritten = db.graphs()[7].id();
+  Graph copy = db.Get(rewritten);
+  ASSERT_TRUE(db.Remove(rewritten));
+  db.Add(std::move(copy));
+  submit_together();
+  EXPECT_EQ(service.Snapshot().index_builds, db.size() + 1);
 }
 
 // What a response says, without how it was served (cache, coalescing, steps,

@@ -2,10 +2,11 @@
 
 Flags calls from a curated blocklist made while any vqi::Mutex is held:
 thread-pool Submit/Wait (can block on a full queue, and a pool that feeds
-back into the held lock deadlocks), sleeps, raw socket I/O, and match-index
-builds (seconds of CPU on large graphs). A site can be waived with
-`// vqi-analyze: allow(<rule>) <justification>` on the same line or the
-line above — the justification text is mandatory.
+back into the held lock deadlocks), sleeps, raw socket I/O, and index builds
+(seconds of CPU on large graphs): an index class's Build* method, or a
+CollectionIndex constructor, which indexes every graph of a collection. A
+site can be waived with `// vqi-analyze: allow(<rule>) <justification>` on
+the same line or the line above — the justification text is mandatory.
 """
 
 import re
@@ -15,8 +16,8 @@ SOCKET_NAMES = {"send", "recv", "read", "write", "poll", "accept", "connect",
                 "select", "sendmsg", "recvmsg", "recvfrom", "sendto"}
 POOL_QUAL_RE = re.compile(r"(?:^|::)ThreadPool::(Submit|Wait)$")
 INDEX_QUAL_RE = re.compile(
-    r"(?:MatchIndex|CandidateIndex|MatchIndexCache|SuggestionIndex)"
-    r"::\w*(?:Build|Rebuild)\w*$")
+    r"(?:MatchIndex|CandidateIndex|CollectionIndex|SuggestionIndex)"
+    r"::\w*(?:Build|Rebuild)\w*$|(?:^|::)CollectionIndex::CollectionIndex$")
 INDEX_NAME_RE = re.compile(r"^(?:Build|Rebuild)\w*Index\w*$")
 
 RULES = ("pool-submit-under-lock", "sleep-under-lock", "socket-under-lock",

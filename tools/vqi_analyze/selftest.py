@@ -52,6 +52,10 @@ class MatchIndex {
  public:
   void Build();
 };
+class CollectionIndex {
+ public:
+  explicit CollectionIndex(int graphs);
+};
 class Blocker {
  public:
   void SubmitUnderLock() {
@@ -69,6 +73,10 @@ class Blocker {
   void IndexUnderLock() {
     MutexLock lock(&mu_);
     index_.Build();
+  }
+  void CollectionUnderLock() {
+    MutexLock lock(&mu_);
+    auto collection = CollectionIndex(n_);
   }
   void WaivedSleep() {
     MutexLock lock(&mu_);
@@ -427,6 +435,12 @@ def run():
               "gated and non-concurrency tests are not flagged")
         check(not [d for d in diags if d["rel"] in CLEAN],
               f"clean twins stay silent ({', '.join(CLEAN)})")
+        index_lines = {d["line"] for d in by_rule.get("index-build-under-lock",
+                                                      [])}
+        check(_line_of("src/service/blocker.h", "CollectionIndex(n_);")
+              in index_lines,
+              "a CollectionIndex constructed under a lock is flagged "
+              f"(lines: {sorted(index_lines)})")
         vf2_lines = [d["line"] for d in by_rule.get("vf2-csr", [])]
         check(vf2_lines == [_line_of("src/match/vf2.cc", "(void)n; }")],
               f"only the Graph::Neighbors() walk in vf2.cc is flagged "
