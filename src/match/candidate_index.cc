@@ -5,7 +5,7 @@
 #include <numeric>
 #include <utility>
 
-#include "truss/truss.h"
+#include "common/logging.h"
 
 namespace vqi {
 
@@ -32,21 +32,30 @@ void ComputeSignatures(const CsrGraph& csr, std::vector<uint64_t>* signatures,
   }
 }
 
-// Max trussness over each vertex's incident edges (0 when isolated); empty
-// when shells are disabled or the graph has no edges.
-std::vector<int> VertexShells(const Graph& g, const CsrGraph& csr,
-                              const CandidateIndexOptions& options) {
+// Max trussness over each vertex's incident edges (0 when isolated), read
+// off the per-slot trussness of `truss`, a decomposition of the graph `csr`
+// views: both keep the graph's sorted rows. Empty when it has no edges.
+std::vector<int> ShellsFromSlots(const CsrGraph& csr,
+                                 const TrussDecomposition& truss) {
+  VQI_CHECK(truss.Describes(csr.NumVertices(), csr.NumEdges()))
+      << "the decomposition is not of this graph";
   std::vector<int> shells;
-  if (!options.use_truss || csr.NumEdges() == 0) return shells;
-  TrussDecomposition truss = DecomposeTruss(g);
+  if (csr.NumEdges() == 0) return shells;
   shells.assign(csr.NumVertices(), 0);
   for (VertexId v = 0; v < csr.NumVertices(); ++v) {
-    for (const Neighbor* nb = csr.NeighborsBegin(v); nb != csr.NeighborsEnd(v);
-         ++nb) {
-      shells[v] = std::max(shells[v], truss.EdgeTrussness(v, nb->vertex));
+    for (uint32_t s = truss.offsets[v]; s < truss.offsets[v + 1]; ++s) {
+      shells[v] = std::max(shells[v], truss.trussness[s]);
     }
   }
   return shells;
+}
+
+// The same shells from a decomposition of its own; empty when shells are
+// disabled or the graph has no edges.
+std::vector<int> VertexShells(const Graph& g, const CsrGraph& csr,
+                              const CandidateIndexOptions& options) {
+  if (!options.use_truss || csr.NumEdges() == 0) return {};
+  return ShellsFromSlots(csr, DecomposeTruss(g));
 }
 
 // Greedy match order seeded at `start`: next comes the unbound vertex with
@@ -141,30 +150,38 @@ bool LabelCensus::FitsIn(const LabelCensus& target, bool edge_labels) const {
   return true;
 }
 
-CandidateIndex CandidateIndex::Build(const Graph& g, const CsrGraph& csr,
-                                     const CandidateIndexOptions& options) {
-  CandidateIndex index;
+CandidateIndex::CandidateIndex(const CsrGraph& csr) {
   const size_t n = csr.NumVertices();
-  ComputeSignatures(csr, &index.signatures_, &index.repeat_signatures_);
+  ComputeSignatures(csr, &signatures_, &repeat_signatures_);
 
   // One sort groups vertices by label with degree-ascending runs; ties break
   // by id so the layout is deterministic.
-  index.bucket_vertices_.resize(n);
-  std::iota(index.bucket_vertices_.begin(), index.bucket_vertices_.end(), 0u);
+  bucket_vertices_.resize(n);
+  std::iota(bucket_vertices_.begin(), bucket_vertices_.end(), 0u);
   auto key = [&csr](VertexId v) {
     return BucketKey(csr.VertexLabel(v), csr.Degree(v));
   };
-  std::sort(index.bucket_vertices_.begin(), index.bucket_vertices_.end(),
+  std::sort(bucket_vertices_.begin(), bucket_vertices_.end(),
             [&key](VertexId a, VertexId b) {
               uint64_t ka = key(a);
               uint64_t kb = key(b);
               return ka != kb ? ka < kb : a < b;
             });
-  index.bucket_keys_.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    index.bucket_keys_[i] = key(index.bucket_vertices_[i]);
-  }
+  bucket_keys_.resize(n);
+  for (size_t i = 0; i < n; ++i) bucket_keys_[i] = key(bucket_vertices_[i]);
+}
+
+CandidateIndex CandidateIndex::Build(const Graph& g, const CsrGraph& csr,
+                                     const CandidateIndexOptions& options) {
+  CandidateIndex index(csr);
   index.shells_ = VertexShells(g, csr, options);
+  return index;
+}
+
+CandidateIndex CandidateIndex::Build(const CsrGraph& csr,
+                                     const TrussDecomposition& truss) {
+  CandidateIndex index(csr);
+  index.shells_ = ShellsFromSlots(csr, truss);
   return index;
 }
 
@@ -183,6 +200,9 @@ MatchIndex::MatchIndex(const Graph& g, const CandidateIndexOptions& options)
     : csr(g),
       candidates(CandidateIndex::Build(g, csr, options)),
       census(csr) {}
+
+MatchIndex::MatchIndex(const Graph& g, const TrussDecomposition& truss)
+    : csr(g), candidates(CandidateIndex::Build(csr, truss)), census(csr) {}
 
 std::shared_ptr<const MatchIndex> MatchIndex::Build(
     const Graph& g, const CandidateIndexOptions& options) {

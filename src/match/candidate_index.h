@@ -11,6 +11,7 @@
 #include "graph/graph.h"
 #include "graph/graph_database.h"
 #include "match/csr_graph.h"
+#include "truss/truss.h"
 
 namespace vqi {
 
@@ -40,6 +41,12 @@ class CandidateIndex {
   /// Builds the index for `g`; `csr` must be a CSR view of the same graph.
   static CandidateIndex Build(const Graph& g, const CsrGraph& csr,
                               const CandidateIndexOptions& options = {});
+
+  /// The same index with truss shells read off `truss`, a decomposition of
+  /// the graph `csr` views (what use_truss would compute, without computing
+  /// it again).
+  static CandidateIndex Build(const CsrGraph& csr,
+                              const TrussDecomposition& truss);
 
   /// Bit for one vertex label in a 64-bit neighborhood signature. Labels are
   /// folded mod 64, so the subset test below is conservative (never prunes a
@@ -87,6 +94,9 @@ class CandidateIndex {
   int Shell(VertexId v) const { return shells_[v]; }
 
  private:
+  // Buckets and signatures; no shells.
+  explicit CandidateIndex(const CsrGraph& csr);
+
   std::vector<VertexId> bucket_vertices_;  // sorted by (label, degree, id)
   std::vector<uint64_t> bucket_keys_;      // parallel: label << 32 | degree
   std::vector<uint64_t> signatures_;
@@ -124,6 +134,8 @@ struct LabelCensus {
 struct MatchIndex {
   explicit MatchIndex(const Graph& g,
                       const CandidateIndexOptions& options = {});
+  /// With truss shells read off `truss`, which must be DecomposeTruss(g).
+  MatchIndex(const Graph& g, const TrussDecomposition& truss);
 
   CsrGraph csr;
   CandidateIndex candidates;

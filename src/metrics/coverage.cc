@@ -70,7 +70,16 @@ double NetworkSetCoverage(const Graph& network,
 
 NetworkCoverageIndex::NetworkCoverageIndex(
     const Graph& network, const std::vector<Edge>& network_edges)
-    : index_(network), num_edges_(network_edges.size()) {
+    : NetworkCoverageIndex(MatchIndex(network), network_edges) {}
+
+NetworkCoverageIndex::NetworkCoverageIndex(
+    const Graph& network, const std::vector<Edge>& network_edges,
+    const TrussDecomposition& truss)
+    : NetworkCoverageIndex(MatchIndex(network, truss), network_edges) {}
+
+NetworkCoverageIndex::NetworkCoverageIndex(
+    MatchIndex index, const std::vector<Edge>& network_edges)
+    : index_(std::move(index)), num_edges_(network_edges.size()) {
   edge_position_.reserve(network_edges.size() * 2);
   for (size_t i = 0; i < network_edges.size(); ++i) {
     edge_position_[EdgeKey(network_edges[i].u, network_edges[i].v)] = i;

@@ -10,6 +10,7 @@
 #include "graph/graph_database.h"
 #include "match/candidate_index.h"
 #include "match/vf2.h"
+#include "truss/truss.h"
 
 namespace vqi {
 
@@ -74,8 +75,15 @@ double NetworkSetCoverage(const Graph& network,
 /// in `network_edges`. Valid while `network` is unchanged.
 class NetworkCoverageIndex {
  public:
+  /// Decomposes `network` for the shells.
   NetworkCoverageIndex(const Graph& network,
                        const std::vector<Edge>& network_edges);
+
+  /// Reads the shells off `truss`, which must be DecomposeTruss(network):
+  /// RunTattoo hands in the decomposition its region split used.
+  NetworkCoverageIndex(const Graph& network,
+                       const std::vector<Edge>& network_edges,
+                       const TrussDecomposition& truss);
 
   /// NetworkCoverageBits(network, network_edges, pattern, options).
   Bitset Bits(const Graph& pattern,
@@ -86,6 +94,9 @@ class NetworkCoverageIndex {
                   const NetworkCoverageOptions& options = {}) const;
 
  private:
+  NetworkCoverageIndex(MatchIndex index,
+                       const std::vector<Edge>& network_edges);
+
   MatchIndex index_;
   std::unordered_map<uint64_t, size_t> edge_position_;
   size_t num_edges_ = 0;

@@ -56,20 +56,33 @@ class ShardedLruCache {
   }
 
   /// Returns a copy of the cached value and promotes the entry to
-  /// most-recently-used, or nullopt on a miss.
-  std::optional<V> Get(const std::string& key) {
+  /// most-recently-used, or nullopt on a miss. With `count_miss` false a
+  /// miss goes uncounted until the caller calls CountMiss: the query service
+  /// counts an admission probe's miss only for a request it admits. Hits
+  /// always count.
+  std::optional<V> Get(const std::string& key, bool count_miss = true) {
     Shard& shard = ShardFor(key);
     MutexLock lock(&shard.mutex);
     auto it = shard.index.find(key);
     if (it == shard.index.end()) {
-      ++shard.misses;
-      if (shard.misses_metric != nullptr) shard.misses_metric->Increment();
+      if (count_miss) {
+        ++shard.misses;
+        if (shard.misses_metric != nullptr) shard.misses_metric->Increment();
+      }
       return std::nullopt;
     }
     ++shard.hits;
     if (shard.hits_metric != nullptr) shard.hits_metric->Increment();
     shard.order.splice(shard.order.begin(), shard.order, it->second);
     return it->second->second;
+  }
+
+  /// Counts the miss a Get(key, /*count_miss=*/false) left uncounted.
+  void CountMiss(const std::string& key) {
+    Shard& shard = ShardFor(key);
+    MutexLock lock(&shard.mutex);
+    ++shard.misses;
+    if (shard.misses_metric != nullptr) shard.misses_metric->Increment();
   }
 
   /// Inserts or overwrites `key`, making it most-recently-used; evicts the

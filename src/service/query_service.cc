@@ -246,12 +246,16 @@ StatusOr<std::future<QueryResult>> QueryService::Submit(QueryRequest request) {
 
   std::string key;
   std::optional<QueryResult> hit;
+  // A miss here counts only once the request is admitted (queued or parked
+  // as a waiter): a refused submission, and each retry of it, is no lookup
+  // the cache could have served.
+  bool admission_miss = false;
   {
     obs::TraceSpan span(trace, "cache_probe");
     key = CacheKey(request);
     // Cache probe before any pool dispatch: a hit is served synchronously on
     // the submitting thread.
-    hit = ProbeCache(key);
+    hit = ProbeCache(key, &admission_miss);
   }
   if (hit.has_value()) {
     QueryResult result = std::move(*hit);
@@ -295,6 +299,7 @@ StatusOr<std::future<QueryResult>> QueryService::Submit(QueryRequest request) {
       // promise. The deposit funds a potential re-execution if the leader's
       // result turns out unshareable.
       waiter_budget_.OnRequest();
+      if (admission_miss) cache_.CountMiss(key);
       admitted_total_->Increment();
       return future;
     }
@@ -310,6 +315,7 @@ StatusOr<std::future<QueryResult>> QueryService::Submit(QueryRequest request) {
     rejected_total_->Increment();
     return submitted;
   }
+  if (admission_miss) cache_.CountMiss(key);
   admitted_total_->Increment();
   return future;
 }
@@ -727,7 +733,8 @@ Status QueryService::AdmitAtPriority(RequestPriority priority) {
       RequestPriorityName(priority) + " high-water mark");
 }
 
-std::optional<QueryResult> QueryService::ProbeCache(const std::string& key) {
+std::optional<QueryResult> QueryService::ProbeCache(const std::string& key,
+                                                    bool* deferred_miss) {
   // cache_capacity 0 disables the cache but not coalescing, which still
   // computes keys — so the gate lives here, not in CacheKey.
   if (key.empty() || options_.cache_capacity == 0) return std::nullopt;
@@ -741,7 +748,10 @@ std::optional<QueryResult> QueryService::ProbeCache(const std::string& key) {
       return std::nullopt;
     }
   }
-  return cache_.Get(key);
+  std::optional<QueryResult> hit =
+      cache_.Get(key, /*count_miss=*/deferred_miss == nullptr);
+  if (deferred_miss != nullptr) *deferred_miss = !hit.has_value();
+  return hit;
 }
 
 void QueryService::RecordCompletion(const QueryResult& result,

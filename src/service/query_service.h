@@ -227,8 +227,10 @@ class QueryService {
   Status AdmitAtPriority(RequestPriority priority);
   /// Cache probe behind the cache_probe fault point: an injected fault
   /// degrades to a miss (the cache is an optimization, never a failure
-  /// source).
-  std::optional<QueryResult> ProbeCache(const std::string& key);
+  /// source). With `deferred_miss` set, a lookup that misses is not counted
+  /// but reported there, for the caller to count with cache_.CountMiss.
+  std::optional<QueryResult> ProbeCache(const std::string& key,
+                                        bool* deferred_miss = nullptr);
   /// Cache/coalescing key, or "" when the request is uncacheable (pattern
   /// too large for canonicalization, or both the cache and coalescing are
   /// disabled). The key embeds the versions of the data the result reads.

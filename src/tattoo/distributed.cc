@@ -27,13 +27,15 @@ StatusOr<DistributedTattooResult> RunDistributedTattoo(
   result.stats.partition_seconds = watch.ElapsedSeconds();
   watch.Restart();
 
-  // Map: per-worker candidate extraction (workers simulated sequentially).
+  // Map: per-worker candidate extraction (workers simulated sequentially),
+  // one worker per chunk up to max_workers.
   Rng rng(config.base.seed);
   std::vector<std::vector<Graph>> per_worker;
-  size_t workers = 0;
-  for (const Graph& chunk : chunks.graphs()) {
-    if (config.max_workers != 0 && workers >= config.max_workers) break;
-    ++workers;
+  const size_t workers =
+      config.max_workers == 0 ? chunks.size()
+                              : std::min(chunks.size(), config.max_workers);
+  for (size_t w = 0; w < workers; ++w) {
+    const Graph& chunk = chunks.graphs()[w];
     Stopwatch worker_watch;
     TrussSplit split = SplitByTruss(chunk, config.base.truss_threshold);
     TopologyCandidateConfig gen;

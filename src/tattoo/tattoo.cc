@@ -25,8 +25,10 @@ StatusOr<TattooResult> RunTattoo(const Graph& network,
   Rng rng(config.seed);
   Stopwatch watch;
 
-  // Stage 1: truss decomposition and region split.
-  TrussSplit split = SplitByTruss(network, config.truss_threshold);
+  // Stage 1: truss decomposition and region split. Stage 3's network index
+  // reads its shells off the same decomposition.
+  const TrussDecomposition truss = DecomposeTruss(network);
+  TrussSplit split = SplitByTruss(network, truss, config.truss_threshold);
   result.stats.infested_edges = split.truss_infested.NumEdges();
   result.stats.oblivious_edges = split.truss_oblivious.NumEdges();
   result.stats.decompose_seconds = watch.ElapsedSeconds();
@@ -49,7 +51,7 @@ StatusOr<TattooResult> RunTattoo(const Graph& network,
   // Stage 3: score (budgeted edge coverage against the *whole* network) and
   // select greedily.
   std::vector<Edge> network_edges = network.Edges();
-  NetworkCoverageIndex index(network, network_edges);
+  NetworkCoverageIndex index(network, network_edges, truss);
   std::vector<ScoredCandidate> scored;
   scored.reserve(candidates.size());
   for (Graph& pattern : candidates) {

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <future>
 #include <string>
 #include <thread>
@@ -18,6 +19,7 @@
 #include "obs/export.h"
 #include "service/lru_cache.h"
 #include "service/query_service.h"
+#include "service/resilience/fault_injector.h"
 #include "service/thread_pool.h"
 #include "shard/sharded_router.h"
 #include "vqi/builder.h"
@@ -420,6 +422,82 @@ TEST(QueryServiceTest, BurstAgainstTinyQueueShedsLoad) {
   EXPECT_EQ(stats.rejected, rejected);
   EXPECT_EQ(stats.admitted + stats.rejected, 10u);
   EXPECT_EQ(stats.completed, stats.admitted);
+}
+
+// A submission the service refuses, for a full queue or by priority, and a
+// client's retry of it, count no cache miss: the cache could not have served
+// it. An admitted miss counts two probes, at admission and at dequeue.
+TEST(QueryServiceTest, RefusedSubmissionsCountNoCacheMiss) {
+  resilience::FaultPlan plan;
+  plan.seed = 41;
+  plan.At(resilience::FaultPoint::kExecutor).latency_p = 1.0;
+  plan.At(resilience::FaultPoint::kExecutor).latency_ms = 200.0;
+  resilience::FaultInjector injector(plan);
+
+  GraphDatabase db = MakeDatabase();
+  QueryServiceOptions options;
+  options.num_threads = 1;
+  options.queue_capacity = 2;
+  options.shed_high_water = 0.5;  // background sheds at depth 1
+  options.enable_coalescing = false;
+  options.fault_injector = &injector;
+  QueryService service(db, options);
+
+  // Single-edge patterns with distinct endpoint labels: every key misses.
+  auto request = [](Label a, Label b, RequestPriority priority) {
+    QueryRequest r;
+    r.pattern.AddVertex(a);
+    r.pattern.AddVertex(b);
+    r.pattern.AddEdge(0, 1);
+    r.priority = priority;
+    return r;
+  };
+  std::vector<std::future<QueryResult>> futures;
+  auto admit = [&](QueryRequest r) {
+    auto submitted = service.Submit(std::move(r));
+    ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+    futures.push_back(std::move(submitted).value());
+  };
+
+  // The first request's two probes mark the worker as dequeued and stalled
+  // in the executor fault, which freezes the queue for 200 ms.
+  admit(request(0, 1, RequestPriority::kInteractive));
+  for (int i = 0; i < 2000 && service.Snapshot().cache_misses < 2; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(service.Snapshot().cache_misses, 2u);
+  admit(request(0, 2, RequestPriority::kInteractive));  // depth 1
+  EXPECT_EQ(service.Snapshot().cache_misses, 3u);
+
+  auto shed = service.Submit(request(1, 2, RequestPriority::kBackground));
+  ASSERT_FALSE(shed.ok());
+  EXPECT_NE(shed.status().message().find("load shed"), std::string::npos);
+  EXPECT_EQ(service.Snapshot().cache_misses, 3u);
+
+  admit(request(0, 0, RequestPriority::kInteractive));  // depth 2: full
+  EXPECT_EQ(service.Snapshot().cache_misses, 4u);
+  for (int attempt = 0; attempt < 3; ++attempt) {  // a client retrying
+    auto full = service.Submit(request(1, 1, RequestPriority::kInteractive));
+    ASSERT_FALSE(full.ok());
+    EXPECT_EQ(full.status().code(), StatusCode::kUnavailable);
+    EXPECT_EQ(service.Snapshot().cache_misses, 4u);
+  }
+
+  for (auto& f : futures) EXPECT_TRUE(f.get().status.ok());
+  const ServiceStats stats = service.Snapshot();
+  EXPECT_EQ(stats.admitted, 3u);
+  EXPECT_EQ(stats.rejected, 4u);
+  EXPECT_EQ(stats.shed, 1u);
+  EXPECT_EQ(stats.cache_hits, 0u);
+  EXPECT_EQ(stats.cache_misses, 2 * stats.admitted);
+  uint64_t exported = 0;
+  for (size_t i = 0; i < options.cache_shards; ++i) {
+    exported += service.metrics()
+                    .GetCounter("vqi_cache_misses_total", "",
+                                {{"cache_shard", std::to_string(i)}})
+                    .Value();
+  }
+  EXPECT_EQ(exported, stats.cache_misses);
 }
 
 TEST(QueryServiceTest, InvalidateCacheForcesRecompute) {

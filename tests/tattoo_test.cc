@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <vector>
+
 #include "common/rng.h"
 #include "graph/generators.h"
 #include "graph/graph_algos.h"
 #include "graph/graph_builder.h"
+#include "match/canonical.h"
 #include "match/vf2.h"
 #include "tattoo/distributed.h"
 #include "tattoo/tattoo.h"
@@ -230,6 +235,97 @@ TEST(DistributedTattooTest, RejectsBadInput) {
   Graph g = TestNetwork(36, 100);
   config.base.budget = 0;
   EXPECT_FALSE(RunDistributedTattoo(g, config).ok());
+}
+
+// What RunTattoo selects on one seeded network, pinned across builds:
+// TattooTest.Deterministic compares two runs of one build, so it cannot see
+// a change between builds. Trussness is uniquely defined, so a faster
+// decomposition, region split or network index must leave all of it as is.
+struct PinnedSelection {
+  std::vector<std::string> codes;  // CanonicalCode of each pick, in order
+  size_t infested_edges = 0;
+  size_t oblivious_edges = 0;
+  size_t num_candidates = 0;
+  std::map<std::string, size_t> selected_classes;  // by TopologyClassName
+};
+
+// A CanonicalCode as its big-endian 32-bit words in decimal: the vertex
+// count, the labels in canonical order, then the upper adjacency triangle.
+std::string CodeWords(const std::string& code) {
+  std::string words;
+  for (size_t i = 0; i + 4 <= code.size(); i += 4) {
+    uint32_t word = 0;
+    for (size_t b = 0; b < 4; ++b) {
+      word = word << 8 | static_cast<unsigned char>(code[i + b]);
+    }
+    if (!words.empty()) words += ' ';
+    words += std::to_string(word);
+  }
+  return words;
+}
+
+void ExpectSelection(const Graph& network, uint64_t seed,
+                     const PinnedSelection& pin) {
+  TattooConfig config;
+  config.budget = 8;
+  config.max_pattern_edges = 8;
+  config.seed = seed;
+  auto result = RunTattoo(network, config);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  std::vector<std::string> codes;
+  for (const Graph& p : result->patterns) {
+    codes.push_back(CodeWords(CanonicalCode(p)));
+  }
+  std::map<std::string, size_t> classes;
+  for (const auto& [cls, count] : result->stats.selected_classes) {
+    classes[TopologyClassName(cls)] = count;
+  }
+  EXPECT_EQ(codes, pin.codes);
+  EXPECT_EQ(result->stats.infested_edges, pin.infested_edges);
+  EXPECT_EQ(result->stats.oblivious_edges, pin.oblivious_edges);
+  EXPECT_EQ(result->stats.num_candidates, pin.num_candidates);
+  EXPECT_EQ(classes, pin.selected_classes);
+}
+
+TEST(TattooTest, PinnedSelectionBarabasiAlbert) {
+  Rng rng(2401);
+  gen::LabelConfig labels;
+  labels.num_vertex_labels = 5;
+  Graph g = gen::BarabasiAlbert(2000, 3, labels, rng);
+  PinnedSelection pin;
+  pin.codes = {
+      "5 0 1 1 2 3 1 0 1 0 1 0 0 0 1 0",
+      "5 0 0 0 0 4 1 0 1 0 0 1 0 1 1 1",
+      "5 1 1 2 2 2 0 0 0 1 0 0 1 0 1 1",
+      "6 0 0 0 0 0 1 1 0 0 0 0 1 0 0 0 1 0 0 1 0 1",
+      "7 0 0 1 1 1 2 3 0 1 0 0 0 0 0 1 1 0 0 0 0 1 0 0 1 0 0 1 0",
+      "7 0 0 0 1 1 3 4 1 1 0 0 0 0 0 1 0 0 0 0 1 0 0 0 1 0 0 1 0",
+      "6 0 0 0 0 2 4 1 1 0 0 0 0 1 0 0 0 1 0 0 1 0",
+      "5 0 1 1 2 3 1 0 0 1 1 0 0 1 0 0"};
+  pin.infested_edges = 666;
+  pin.oblivious_edges = 5325;
+  pin.num_candidates = 68;
+  pin.selected_classes = {{"chain", 6}, {"flower", 1}, {"star", 1}};
+  ExpectSelection(g, 2402, pin);
+}
+
+TEST(TattooTest, PinnedSelectionWattsStrogatz) {
+  PinnedSelection pin;
+  pin.codes = {
+      "6 0 0 1 2 3 3 0 1 1 0 0 0 0 1 1 0 0 1 0 0 0",
+      "4 0 0 1 1 1 0 1 1 1 1",
+      "5 0 0 1 2 2 1 0 0 0 1 1 1 0 0 0",
+      "5 0 0 0 1 3 0 1 1 0 1 0 1 1 1 0",
+      "5 0 0 0 1 2 1 0 0 1 0 0 1 1 1 1",
+      "7 0 0 1 1 2 3 4 0 0 0 1 0 0 0 1 0 1 0 0 0 0 1 1 0 0 0 0 1",
+      "4 0 0 2 4 1 0 1 1 1 1",
+      "5 0 1 1 1 2 0 0 1 0 0 1 0 1 0 1"};
+  pin.infested_edges = 3648;
+  pin.oblivious_edges = 852;
+  pin.num_candidates = 78;
+  pin.selected_classes = {
+      {"chain", 2}, {"flower", 2}, {"petal", 2}, {"star", 2}};
+  ExpectSelection(TestNetwork(2403, 1500), 2404, pin);
 }
 
 TEST(TattooTest, RejectsBadInput) {
