@@ -7,9 +7,10 @@ namespace vqi {
 
 std::vector<Graph> GenerateCandidatesFromCsg(const ClusterSummaryGraph& csg,
                                              const CandidateGenConfig& config,
-                                             Rng& rng) {
+                                             Rng& rng, IsomorphismSet* seen) {
   std::vector<Graph> out;
-  IsomorphismSet seen;
+  IsomorphismSet local;
+  if (seen == nullptr) seen = &local;
   const Graph& g = csg.graph();
   if (g.NumEdges() == 0) return out;
   EdgeWeightFn weight = [&csg](VertexId u, VertexId v) {
@@ -25,20 +26,23 @@ std::vector<Graph> GenerateCandidatesFromCsg(const ClusterSummaryGraph& csg,
     if (target < config.min_edges) continue;  // CSG too small for the range
     auto candidate = WeightedRandomSubgraph(g, weight, target, rng);
     if (!candidate.has_value()) continue;
-    if (seen.Insert(*candidate)) out.push_back(std::move(*candidate));
+    if (seen->Insert(*candidate)) out.push_back(std::move(*candidate));
   }
   return out;
 }
 
 std::vector<Graph> GenerateCandidates(
     const std::vector<ClusterSummaryGraph>& csgs,
-    const CandidateGenConfig& config, Rng& rng) {
+    const CandidateGenConfig& config, Rng& rng, IsomorphismSet* seen) {
+  IsomorphismSet local;
+  if (seen == nullptr) seen = &local;
   std::vector<Graph> pooled;
   for (const ClusterSummaryGraph& csg : csgs) {
-    std::vector<Graph> local = GenerateCandidatesFromCsg(csg, config, rng);
-    for (Graph& g : local) pooled.push_back(std::move(g));
+    for (Graph& g : GenerateCandidatesFromCsg(csg, config, rng, seen)) {
+      pooled.push_back(std::move(g));
+    }
   }
-  return DedupIsomorphic(std::move(pooled));
+  return pooled;
 }
 
 }  // namespace vqi

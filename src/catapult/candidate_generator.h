@@ -9,6 +9,8 @@
 
 namespace vqi {
 
+class IsomorphismSet;
+
 /// Parameters for weighted-random-walk candidate generation on a CSG.
 struct CandidateGenConfig {
   /// Pattern size range in edges (canned patterns are larger than basic
@@ -23,15 +25,20 @@ struct CandidateGenConfig {
 /// weighted random walks: edges shared by many cluster members carry
 /// proportionally more weight, so walks gravitate toward substructures
 /// common across the cluster (CATAPULT's candidate generation step).
-/// Candidates are deduplicated up to isomorphism.
+/// Candidates are deduplicated up to isomorphism. With `seen`, a candidate
+/// isomorphic to one already in `seen` is dropped too, and each one returned
+/// is added to it.
 std::vector<Graph> GenerateCandidatesFromCsg(const ClusterSummaryGraph& csg,
                                              const CandidateGenConfig& config,
-                                             Rng& rng);
+                                             Rng& rng,
+                                             IsomorphismSet* seen = nullptr);
 
-/// Convenience: candidates pooled from several CSGs, deduplicated globally.
+/// Convenience: candidates pooled from several CSGs, deduplicated globally
+/// through one IsomorphismSet (`seen` when given, as above).
 std::vector<Graph> GenerateCandidates(
     const std::vector<ClusterSummaryGraph>& csgs,
-    const CandidateGenConfig& config, Rng& rng);
+    const CandidateGenConfig& config, Rng& rng,
+    IsomorphismSet* seen = nullptr);
 
 }  // namespace vqi
 

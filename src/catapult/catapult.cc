@@ -99,31 +99,30 @@ StatusOr<CatapultResult> RunCatapult(const GraphDatabase& db,
   gen.min_edges = config.min_pattern_edges;
   gen.max_edges = config.max_pattern_edges;
   gen.walks = config.walks_per_csg;
+  // One set deduplicates the walks and the direct samples below, so each
+  // candidate's canonical code is computed once.
+  IsomorphismSet seen;
   std::vector<Graph> candidates =
-      GenerateCandidates(result.state.csgs, gen, rng);
+      GenerateCandidates(result.state.csgs, gen, rng, &seen);
   // The greedy-alignment CSG is an approximation of the true closure, so a
   // walk can stitch together edges that co-occur in no single member graph.
   // Guarantee a floor of realizable candidates by also sampling connected
   // subgraphs directly from member graphs (coverage >= 1 by construction).
-  {
-    IsomorphismSet seen;
-    for (const Graph& c : candidates) seen.Insert(c);
-    size_t direct_samples = std::max<size_t>(8, config.walks_per_csg / 2);
-    for (size_t c = 0; c < result.state.cluster_members.size(); ++c) {
-      const auto& ids = result.state.cluster_members[c];
-      if (ids.empty()) continue;
-      for (size_t s = 0; s < direct_samples; ++s) {
-        const Graph& source = db.Get(ids[rng.UniformInt(ids.size())]);
-        size_t target = config.min_pattern_edges;
-        if (config.max_pattern_edges > config.min_pattern_edges) {
-          target += static_cast<size_t>(rng.UniformInt(
-              config.max_pattern_edges - config.min_pattern_edges + 1));
-        }
-        if (source.NumEdges() < target) continue;
-        auto sample = RandomConnectedSubgraph(source, target, rng);
-        if (sample.has_value() && seen.Insert(*sample)) {
-          candidates.push_back(std::move(*sample));
-        }
+  size_t direct_samples = std::max<size_t>(8, config.walks_per_csg / 2);
+  for (size_t c = 0; c < result.state.cluster_members.size(); ++c) {
+    const auto& ids = result.state.cluster_members[c];
+    if (ids.empty()) continue;
+    for (size_t s = 0; s < direct_samples; ++s) {
+      const Graph& source = db.Get(ids[rng.UniformInt(ids.size())]);
+      size_t target = config.min_pattern_edges;
+      if (config.max_pattern_edges > config.min_pattern_edges) {
+        target += static_cast<size_t>(rng.UniformInt(
+            config.max_pattern_edges - config.min_pattern_edges + 1));
+      }
+      if (source.NumEdges() < target) continue;
+      auto sample = RandomConnectedSubgraph(source, target, rng);
+      if (sample.has_value() && seen.Insert(*sample)) {
+        candidates.push_back(std::move(*sample));
       }
     }
   }

@@ -99,7 +99,12 @@ Graph SubgraphFromEdges(const Graph& g, const std::vector<Edge>& edges) {
   for (const Edge& e : edges) {
     VQI_CHECK_LT(e.u, g.NumVertices());
     VQI_CHECK_LT(e.v, g.NumVertices());
-    out.AddEdge(map_vertex(e.u), map_vertex(e.v), e.label);
+    // v before u, in two statements: the order GCC evaluated the two calls
+    // in when they were arguments of one AddEdge call, which every pinned
+    // pattern and TATTOO selection was taken with.
+    const VertexId nv = map_vertex(e.v);
+    const VertexId nu = map_vertex(e.u);
+    out.AddEdge(nu, nv, e.label);
   }
   return out;
 }

@@ -42,7 +42,8 @@ Graph Triangle(Label vlabel = 0, Label elabel = 0);
 Graph InducedSubgraph(const Graph& g, const std::vector<VertexId>& vertices);
 
 /// Builds a graph from a subset of `g`'s edges. Vertices are the endpoints of
-/// those edges, remapped densely; labels are preserved.
+/// those edges, numbered densely in order of first appearance, taking each
+/// edge's v before its u; labels are preserved.
 Graph SubgraphFromEdges(const Graph& g, const std::vector<Edge>& edges);
 
 }  // namespace vqi

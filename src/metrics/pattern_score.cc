@@ -91,16 +91,22 @@ std::vector<size_t> GreedySelect(
     size_t universe_size, const ScoreWeights& weights) {
   PatternSetEvaluator evaluator(universe_size, weights);
   std::vector<size_t> selected;
+  // A pattern that covers nothing cannot help query formulation; this also
+  // filters CSG-walk artifacts absent from every member graph. Such a
+  // candidate starts out taken.
   std::vector<bool> taken(candidates.size(), false);
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    taken[i] = candidates[i].coverage.Count() == 0;
+  }
   while (selected.size() < budget) {
+    // MarginalGain's subtraction, with the selection's score taken once per
+    // round: the same doubles, so the same picks.
+    const double current = evaluator.CurrentScore();
     double best_gain = 0.0;
     int best = -1;
     for (size_t i = 0; i < candidates.size(); ++i) {
       if (taken[i]) continue;
-      // A pattern that covers nothing cannot help query formulation; this
-      // also filters CSG-walk artifacts absent from every member graph.
-      if (candidates[i].coverage.Count() == 0) continue;
-      double gain = evaluator.MarginalGain(candidates[i]);
+      double gain = evaluator.ScoreWith(candidates[i]) - current;
       if (best == -1 || gain > best_gain) {
         best_gain = gain;
         best = static_cast<int>(i);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -21,6 +22,14 @@ void SleepMs(double ms) {
 // Canonicalization (match/canonical.h) enforces this vertex bound; larger
 // patterns are served uncached rather than rejected.
 constexpr size_t kMaxCacheableVertices = 64;
+
+// Search nodes the cache key's canonical code may take. The key is built on
+// the submitting thread before any deadline applies, and the symmetry twin
+// pruning leaves (k disjoint same-label edges reach k! leaves) would hold
+// that thread for minutes. A pattern over this budget is served uncached and
+// uncoalesced, like one above kMaxCacheableVertices. The patterns the
+// benchmarks and the offline pipelines draw need at most 22 nodes.
+constexpr uint64_t kMaxCacheKeySearchNodes = 1024;
 
 // First cooperative step slice for deadline-bounded matching. Slices double
 // until the matcher finishes or the wall clock passes the deadline, so the
@@ -183,9 +192,12 @@ std::string QueryService::CacheKey(const QueryRequest& request) const {
     key += std::to_string(request.top_k);
     return key;
   }
+  std::optional<std::string> code =
+      CanonicalCodeWithin(request.pattern, kMaxCacheKeySearchNodes);
+  if (!code.has_value()) return "";
   const MatchOptions& mo = options_.match_options;
   key += "m|";
-  key += CanonicalCode(request.pattern);
+  key += *code;
   key += '|';
   key += std::to_string(request.target);
   key += '|';

@@ -23,10 +23,11 @@ size_t SampleTarget(const TopologyCandidateConfig& config, Rng& rng) {
 
 std::vector<Graph> ExtractChains(const Graph& region,
                                  const TopologyCandidateConfig& config,
-                                 Rng& rng) {
+                                 Rng& rng, IsomorphismSet* seen) {
   std::vector<Graph> out;
   if (region.NumVertices() == 0) return out;
-  IsomorphismSet seen;
+  IsomorphismSet local;
+  if (seen == nullptr) seen = &local;
   for (size_t attempt = 0; attempt < config.samples_per_class; ++attempt) {
     size_t target = SampleTarget(config, rng);
     VertexId start = static_cast<VertexId>(rng.UniformInt(region.NumVertices()));
@@ -48,14 +49,14 @@ std::vector<Graph> ExtractChains(const Graph& region,
     }
     if (path.size() < config.min_edges) continue;
     Graph chain = SubgraphFromEdges(region, path);
-    if (seen.Insert(chain)) out.push_back(std::move(chain));
+    if (seen->Insert(chain)) out.push_back(std::move(chain));
   }
   return out;
 }
 
 std::vector<Graph> ExtractStars(const Graph& region,
                                 const TopologyCandidateConfig& config,
-                                Rng& rng) {
+                                Rng& rng, IsomorphismSet* seen) {
   std::vector<Graph> out;
   if (region.NumVertices() == 0) return out;
   // Hub candidates: vertices with degree >= min_edges.
@@ -64,7 +65,8 @@ std::vector<Graph> ExtractStars(const Graph& region,
     if (region.Degree(v) >= config.min_edges) hubs.push_back(v);
   }
   if (hubs.empty()) return out;
-  IsomorphismSet seen;
+  IsomorphismSet local;
+  if (seen == nullptr) seen = &local;
   for (size_t attempt = 0; attempt < config.samples_per_class; ++attempt) {
     VertexId hub = hubs[rng.UniformInt(hubs.size())];
     size_t target = std::min<size_t>(SampleTarget(config, rng),
@@ -81,18 +83,19 @@ std::vector<Graph> ExtractStars(const Graph& region,
     }
     if (edges.size() < config.min_edges) continue;
     Graph star = SubgraphFromEdges(region, edges);
-    if (seen.Insert(star)) out.push_back(std::move(star));
+    if (seen->Insert(star)) out.push_back(std::move(star));
   }
   return out;
 }
 
 std::vector<Graph> ExtractCycles(const Graph& region,
                                  const TopologyCandidateConfig& config,
-                                 Rng& rng) {
+                                 Rng& rng, IsomorphismSet* seen) {
   std::vector<Graph> out;
   std::vector<Edge> all_edges = region.Edges();
   if (all_edges.empty()) return out;
-  IsomorphismSet seen;
+  IsomorphismSet local;
+  if (seen == nullptr) seen = &local;
   for (size_t attempt = 0; attempt < config.samples_per_class; ++attempt) {
     const Edge& seed = all_edges[rng.UniformInt(all_edges.size())];
     // Shortest alternative path u -> v avoiding the seed edge; together with
@@ -132,18 +135,19 @@ std::vector<Graph> ExtractCycles(const Graph& region,
       continue;
     }
     Graph cycle = SubgraphFromEdges(region, cycle_edges);
-    if (seen.Insert(cycle)) out.push_back(std::move(cycle));
+    if (seen->Insert(cycle)) out.push_back(std::move(cycle));
   }
   return out;
 }
 
 std::vector<Graph> ExtractPetals(const Graph& region,
                                  const TopologyCandidateConfig& config,
-                                 Rng& rng) {
+                                 Rng& rng, IsomorphismSet* seen) {
   std::vector<Graph> out;
   std::vector<Edge> all_edges = region.Edges();
   if (all_edges.empty()) return out;
-  IsomorphismSet seen;
+  IsomorphismSet local;
+  if (seen == nullptr) seen = &local;
   for (size_t attempt = 0; attempt < config.samples_per_class; ++attempt) {
     const Edge& seed = all_edges[rng.UniformInt(all_edges.size())];
     // Common neighbors of the seed endpoints.
@@ -168,17 +172,18 @@ std::vector<Graph> ExtractPetals(const Graph& region,
                            region.EdgeLabel(seed.v, w).value_or(0)});
     }
     Graph petal = SubgraphFromEdges(region, edges);
-    if (seen.Insert(petal)) out.push_back(std::move(petal));
+    if (seen->Insert(petal)) out.push_back(std::move(petal));
   }
   return out;
 }
 
 std::vector<Graph> ExtractFlowers(const Graph& region,
                                   const TopologyCandidateConfig& config,
-                                  Rng& rng) {
+                                  Rng& rng, IsomorphismSet* seen) {
   std::vector<Graph> out;
   if (region.NumVertices() == 0) return out;
-  IsomorphismSet seen;
+  IsomorphismSet local;
+  if (seen == nullptr) seen = &local;
   for (size_t attempt = 0; attempt < config.samples_per_class; ++attempt) {
     VertexId hub = static_cast<VertexId>(rng.UniformInt(region.NumVertices()));
     // Triangles through the hub that pairwise share only the hub.
@@ -215,7 +220,7 @@ std::vector<Graph> ExtractFlowers(const Graph& region,
                            region.EdgeLabel(a, b).value_or(0)});
     }
     Graph flower = SubgraphFromEdges(region, edges);
-    if (seen.Insert(flower)) out.push_back(std::move(flower));
+    if (seen->Insert(flower)) out.push_back(std::move(flower));
   }
   return out;
 }
@@ -223,15 +228,19 @@ std::vector<Graph> ExtractFlowers(const Graph& region,
 std::vector<Graph> ExtractTopologyCandidates(
     const Graph& truss_infested, const Graph& truss_oblivious,
     const TopologyCandidateConfig& config, Rng& rng) {
-  std::vector<Graph> pooled;
-  for (auto& batch : {ExtractChains(truss_oblivious, config, rng),
-                      ExtractStars(truss_oblivious, config, rng),
-                      ExtractCycles(truss_infested, config, rng),
-                      ExtractPetals(truss_infested, config, rng),
-                      ExtractFlowers(truss_infested, config, rng)}) {
-    for (const Graph& g : batch) pooled.push_back(g);
-  }
-  return DedupIsomorphic(std::move(pooled));
+  // A candidate is kept exactly when nothing isomorphic came before it, in
+  // its own class or an earlier one.
+  IsomorphismSet seen;
+  std::vector<Graph> pooled =
+      ExtractChains(truss_oblivious, config, rng, &seen);
+  auto append = [&pooled](std::vector<Graph> batch) {
+    for (Graph& g : batch) pooled.push_back(std::move(g));
+  };
+  append(ExtractStars(truss_oblivious, config, rng, &seen));
+  append(ExtractCycles(truss_infested, config, rng, &seen));
+  append(ExtractPetals(truss_infested, config, rng, &seen));
+  append(ExtractFlowers(truss_infested, config, rng, &seen));
+  return pooled;
 }
 
 }  // namespace vqi

@@ -4,13 +4,32 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "graph/graph_builder.h"
 
 namespace vqi {
 
 namespace {
 
 constexpr uint32_t kNoEdge = UINT32_MAX;
+constexpr VertexId kUnmapped = UINT32_MAX;
+
+// SubgraphFromEdges through a dense vertex map: `remap` has one entry per
+// vertex of g, all kUnmapped, and is left that way. Vertices are numbered in
+// the same order, each edge's v before its u.
+Graph Region(const Graph& g, const std::vector<Edge>& edges,
+             std::vector<VertexId>& remap) {
+  Graph out;
+  auto map_vertex = [&](VertexId v) {
+    if (remap[v] == kUnmapped) remap[v] = out.AddVertex(g.VertexLabel(v));
+    return remap[v];
+  };
+  for (const Edge& e : edges) {
+    const VertexId nv = map_vertex(e.v);
+    const VertexId nu = map_vertex(e.u);
+    out.AddEdge(nu, nv, e.label);
+  }
+  std::fill(remap.begin(), remap.end(), kUnmapped);
+  return out;
+}
 
 }  // namespace
 
@@ -186,9 +205,10 @@ TrussSplit SplitByTruss(const Graph& g, const TrussDecomposition& truss,
       ++slot;
     }
   }
+  std::vector<VertexId> remap(g.NumVertices(), kUnmapped);
   TrussSplit split;
-  split.truss_infested = SubgraphFromEdges(g, infested);
-  split.truss_oblivious = SubgraphFromEdges(g, oblivious);
+  split.truss_infested = Region(g, infested, remap);
+  split.truss_oblivious = Region(g, oblivious, remap);
   return split;
 }
 

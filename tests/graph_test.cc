@@ -107,6 +107,25 @@ TEST(BuilderTest, SubgraphFromEdges) {
   EXPECT_TRUE(IsChain(sub));
 }
 
+// Vertices are numbered in order of first appearance, each edge's v before
+// its u: TATTOO's regions and candidates, and so its pinned picks, depend on
+// this numbering, whatever order a compiler evaluates arguments in.
+TEST(BuilderTest, SubgraphFromEdgesNumbersVBeforeU) {
+  Graph g;
+  for (Label label : {10, 11, 12, 13, 14}) g.AddVertex(label);
+  Graph sub = SubgraphFromEdges(g, {{0, 3, 7}, {1, 3, 8}, {2, 4, 9}});
+  ASSERT_EQ(sub.NumVertices(), 5u);
+  // 3 then 0, then 1 (3 is known), then 4 then 2.
+  EXPECT_EQ(sub.VertexLabel(0), 13u);
+  EXPECT_EQ(sub.VertexLabel(1), 10u);
+  EXPECT_EQ(sub.VertexLabel(2), 11u);
+  EXPECT_EQ(sub.VertexLabel(3), 14u);
+  EXPECT_EQ(sub.VertexLabel(4), 12u);
+  EXPECT_EQ(sub.EdgeLabel(0, 1), std::optional<Label>(7));
+  EXPECT_EQ(sub.EdgeLabel(0, 2), std::optional<Label>(8));
+  EXPECT_EQ(sub.EdgeLabel(3, 4), std::optional<Label>(9));
+}
+
 TEST(AlgosTest, ConnectedComponents) {
   Graph g;
   for (int i = 0; i < 6; ++i) g.AddVertex(0);

@@ -542,6 +542,44 @@ TEST(HttpSocketTest, HealthzAndQueryOverRealSockets) {
   EXPECT_NE(metrics.value().body.find("pool=\"http\""), std::string::npos);
 }
 
+// The cache key's canonical code is computed on the handling thread before
+// any deadline applies, so a symmetric pattern must not hold that thread
+// longer than its deadline plus one matcher slice. Twin pruning takes the
+// 12-leaf star and the 12 isolated vertices in one search path; the 12
+// disjoint edges (12! leaves) run over the key's node budget and are served
+// uncached. The exhaustive search took minutes on the first two and never
+// finished the third.
+TEST(HttpSocketTest, SymmetricPatternsAnswerWithinTheirDeadline) {
+  constexpr double kDeadlineMs = 20;
+  // One slice on these molecules takes well under a millisecond in a release
+  // build; the rest is margin for sanitizer builds.
+  constexpr double kSliceMs = 1000;
+  std::string star = R"({"vertices":[0,0,0,0,0,0,0,0,0,0,0,0,0],"edges":[)";
+  std::string isolated = R"({"vertices":[0,0,0,0,0,0,0,0,0,0,0,0]})";
+  std::string edges = R"({"vertices":[)";
+  for (int i = 0; i < 24; ++i) edges += i == 0 ? "0" : ",0";
+  edges += R"(],"edges":[)";
+  for (int i = 0; i < 12; ++i) {
+    star += (i == 0 ? "[0," : ",[0,") + std::to_string(i + 1) + "]";
+    edges += (i == 0 ? "[" : ",[") + std::to_string(2 * i) + "," +
+             std::to_string(2 * i + 1) + "]";
+  }
+  star += "]}";
+  edges += "]}";
+
+  ServingHarness harness;
+  ASSERT_TRUE(harness.server.Start().ok());
+  HttpClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", harness.server.port()).ok());
+  for (const std::string& pattern : {star, isolated, edges}) {
+    Stopwatch timer;
+    auto response = client.Roundtrip(
+        "POST", "/query", R"({"pattern":)" + pattern + R"(,"deadline_ms":20})");
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_LT(timer.ElapsedMillis(), kDeadlineMs + kSliceMs) << pattern;
+  }
+}
+
 TEST(HttpSocketTest, MalformedRequestGets400AndClose) {
   ServingHarness harness;
   ASSERT_TRUE(harness.server.Start().ok());

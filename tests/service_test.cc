@@ -327,6 +327,38 @@ TEST(QueryServiceTest, DeadlineCutsOffHeavyMatch) {
   EXPECT_LT(timer.ElapsedMillis(), 5000.0);
 }
 
+// /query accepts an edge labelled kDummyLabel. The canonical code encodes an
+// edge as its label + 1, which wraps to the value of a missing edge, so such
+// a pattern must still not share a cache key with the pattern that lacks the
+// edge: each answers as a cache-0 service does.
+TEST(QueryServiceTest, DummyLabelledEdgesDoNotShareACacheKey) {
+  GraphDatabase db = MakeDatabase();
+  QueryService cached(db, QueryServiceOptions{1, 8, 64, 1, {}});
+  QueryService uncached(db, QueryServiceOptions{1, 8, 0, 1, {}});
+  Graph isolated;
+  for (Label label : {0, 1, 2}) isolated.AddVertex(label);
+  Graph triangle = isolated;
+  triangle.AddEdge(0, 1, kDummyLabel);
+  triangle.AddEdge(1, 2, kDummyLabel);
+  triangle.AddEdge(0, 2, kDummyLabel);
+  std::vector<uint64_t> counts;
+  for (const Graph& pattern : {triangle, isolated}) {
+    QueryRequest request;
+    request.pattern = pattern;
+    QueryResult got = cached.Execute(request);
+    QueryResult want = uncached.Execute(request);
+    ASSERT_TRUE(got.status.ok()) << got.status.ToString();
+    ASSERT_TRUE(want.status.ok()) << want.status.ToString();
+    EXPECT_FALSE(got.from_cache);
+    EXPECT_EQ(got.embedding_count, want.embedding_count);
+    EXPECT_EQ(got.matched_graphs, want.matched_graphs);
+    counts.push_back(want.embedding_count);
+  }
+  // No edge of the database carries kDummyLabel; the triangle graph holds
+  // the three labels once.
+  EXPECT_EQ(counts, (std::vector<uint64_t>{0, 1}));
+}
+
 TEST(QueryServiceTest, DeadlineExceededResultsAreNotCached) {
   GraphDatabase db = MakeDenseTarget();
   QueryService service(db, QueryServiceOptions{1, 8, 64, 1, {}});

@@ -264,12 +264,8 @@ std::string CodeWords(const std::string& code) {
   return words;
 }
 
-void ExpectSelection(const Graph& network, uint64_t seed,
+void ExpectSelection(const Graph& network, const TattooConfig& config,
                      const PinnedSelection& pin) {
-  TattooConfig config;
-  config.budget = 8;
-  config.max_pattern_edges = 8;
-  config.seed = seed;
   auto result = RunTattoo(network, config);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   std::vector<std::string> codes;
@@ -285,6 +281,15 @@ void ExpectSelection(const Graph& network, uint64_t seed,
   EXPECT_EQ(result->stats.oblivious_edges, pin.oblivious_edges);
   EXPECT_EQ(result->stats.num_candidates, pin.num_candidates);
   EXPECT_EQ(classes, pin.selected_classes);
+}
+
+void ExpectSelection(const Graph& network, uint64_t seed,
+                     const PinnedSelection& pin) {
+  TattooConfig config;
+  config.budget = 8;
+  config.max_pattern_edges = 8;
+  config.seed = seed;
+  ExpectSelection(network, config, pin);
 }
 
 TEST(TattooTest, PinnedSelectionBarabasiAlbert) {
@@ -326,6 +331,43 @@ TEST(TattooTest, PinnedSelectionWattsStrogatz) {
   pin.selected_classes = {
       {"chain", 2}, {"flower", 2}, {"petal", 2}, {"star", 2}};
   ExpectSelection(TestNetwork(2403, 1500), 2404, pin);
+}
+
+// The default config (patterns of 4-12 edges) on the third network perfbench
+// builds for seed 4. Its candidate stage took 31 s under the exhaustive
+// canonical search, which branched on every one of a cell's interchangeable
+// vertices; with one branch per twin class it takes about a millisecond.
+TEST(TattooTest, PinnedSelectionDefaultConfigWithSymmetricCandidates) {
+  Rng seeder(4);
+  for (int draw = 0; draw < 10; ++draw) seeder.Next();
+  gen::LabelConfig labels;
+  labels.num_vertex_labels = 5;
+  Rng rng(seeder.Next());
+  Graph g = gen::BarabasiAlbert(6250, 3, labels, rng);
+  PinnedSelection pin;
+  pin.codes = {
+      "5 0 0 0 2 3 1 0 0 0 0 1 0 1 1 0",
+      "5 1 1 1 2 3 0 0 1 0 0 1 0 1 0 1",
+      "5 0 0 0 1 4 0 1 1 0 1 0 1 1 1 0",
+      "12 0 0 0 0 1 1 1 1 2 2 3 4 0 0 0 0 1 0 1 0 0 0 0 0 0 0 0 1 0 1 0 0 0 "
+      "0 0 0 1 0 0 0 1 0 0 1 0 0 0 0 0 1 0 0 0 0 0 1 0 0 0 0 0 0 0 0 0 0 0 0 "
+      "0 1 0 0 1 0 0 0 0 0",
+      "9 0 1 2 2 3 3 3 4 4 1 0 0 0 0 0 0 0 1 1 1 1 1 1 1 0 0 0 0 0 0 0 0 0 0 "
+      "0 0 0 0 0 0 0 0 0 0 0",
+      "13 0 0 0 0 1 1 1 2 2 3 3 3 4 1 0 0 0 1 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 1 "
+      "0 0 0 0 0 1 0 0 0 0 0 1 0 0 0 0 1 1 0 0 0 0 0 0 1 0 0 0 0 0 0 0 1 0 0 "
+      "0 0 0 0 0 1 0 0 0 0 1 0 0 0 0 0 0 0 0 0 1 0",
+      "4 0 1 3 4 0 1 1 1 1 1",
+      "9 0 0 1 2 2 2 3 3 4 0 1 0 0 0 0 0 0 1 0 0 0 0 0 1 0 0 0 0 0 0 1 0 0 0 "
+      "0 1 0 0 0 1 0 0 1 0 1",
+      "6 0 0 1 1 4 4 0 0 1 0 0 0 1 0 0 1 0 0 1 1 0",
+      "6 0 0 0 0 1 3 1 0 0 0 0 1 0 0 0 1 0 0 1 0 1"};
+  pin.infested_edges = 1039;
+  pin.oblivious_edges = 17702;
+  pin.num_candidates = 68;
+  pin.selected_classes = {
+      {"chain", 5}, {"flower", 1}, {"petal", 1}, {"star", 3}};
+  ExpectSelection(g, TattooConfig{}, pin);
 }
 
 TEST(TattooTest, RejectsBadInput) {
