@@ -757,5 +757,235 @@ TEST(LabelCensusTest, AdmitsEveryPairTheOracleMatches) {
   EXPECT_GE(matched_pairs, 200u);
 }
 
+// --- Pinned matcher behaviour ----------------------------------------------
+// The figures below were read off the engine before the admission column,
+// the per-class seed probe and the anchor-edge shortcut landed, which must
+// not move a step, an embedding or a budget verdict.
+
+// FNV-1a over 64-bit words.
+class Digest {
+ public:
+  void Add(uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash_ ^= (word >> (8 * byte)) & 0xFFu;
+      hash_ *= 0x100000001B3ull;
+    }
+  }
+  uint64_t value() const { return hash_; }
+
+ private:
+  uint64_t hash_ = 0xCBF29CE484222325ull;
+};
+
+// Per-corpus totals and a digest of every pair's runs.
+struct CorpusTally {
+  size_t pairs = 0;
+  uint64_t steps = 0;
+  uint64_t embeddings = 0;
+  uint64_t limit_hits = 0;
+  Digest digest;
+};
+
+constexpr uint64_t kPinnedBudgets[] = {0, 1, 7, 64};
+
+// Runs one pair under every pinned budget and folds into `tally` each run's
+// steps, embedding count, hit_step_limit and first embedding (Enumerate),
+// and each Exists run's answer, steps and hit_step_limit.
+void TallyPair(const PatternPlan& plan, const MatchIndex& index,
+               MatchOptions options, CorpusTally* tally) {
+  ++tally->pairs;
+  for (uint64_t budget : kPinnedBudgets) {
+    options.max_steps = budget;
+    SubgraphMatcher matcher(plan, index, options);
+    Embedding first;
+    const uint64_t count = matcher.Enumerate([&first](const Embedding& e) {
+      if (first.empty()) first = e;
+      return true;
+    });
+    tally->steps += matcher.steps();
+    tally->embeddings += count;
+    tally->limit_hits += matcher.hit_step_limit() ? 1 : 0;
+    tally->digest.Add(matcher.steps());
+    tally->digest.Add(count);
+    tally->digest.Add(matcher.hit_step_limit());
+    tally->digest.Add(first.size());
+    for (VertexId v : first) tally->digest.Add(v);
+    const bool found = matcher.Exists();
+    tally->steps += matcher.steps();
+    tally->digest.Add(found);
+    tally->digest.Add(matcher.steps());
+    tally->digest.Add(matcher.hit_step_limit());
+  }
+}
+
+TEST(MatcherPinTest, MoleculePatternsAgainstMolecules) {
+  // Serving-style: the targets carry truss shells, as the view's do.
+  const GraphDatabase molecules = gen::MoleculeDatabase(70, {}, 0x30E1);
+  Rng rng(0x30E2);
+  std::vector<Graph> patterns;
+  for (size_t i = 40; i < molecules.size(); ++i) {
+    std::optional<Graph> pattern = RandomConnectedSubgraph(
+        molecules.graphs()[i], 2 + rng.UniformInt(8), rng);
+    if (pattern.has_value()) patterns.push_back(std::move(*pattern));
+  }
+  MatchOptions options;
+  options.max_embeddings = 1000;
+  CorpusTally tally;
+  for (const Graph& pattern : patterns) {
+    const PatternPlan plan(pattern);
+    for (size_t g = 0; g < 40; ++g) {
+      TallyPair(plan, MatchIndex(molecules.graphs()[g]), options, &tally);
+    }
+  }
+  EXPECT_EQ(tally.pairs, 1120u);
+  EXPECT_EQ(tally.steps, 78527u);
+  EXPECT_EQ(tally.embeddings, 5126u);
+  EXPECT_EQ(tally.limit_hits, 982u);
+  EXPECT_EQ(tally.digest.value(), 14395642791489853495ull);
+}
+
+TEST(MatcherPinTest, ErdosRenyiPairsWithOneToThreeLabels) {
+  // Offline-style targets without shells, with induced and
+  // edge-label-insensitive runs mixed in.
+  Rng rng(0xE12);
+  MatchOptions induced;
+  induced.induced = true;
+  MatchOptions ignore_bonds;
+  ignore_bonds.match_edge_labels = false;
+  const MatchOptions variants[] = {MatchOptions{}, induced, ignore_bonds};
+  CorpusTally tally;
+  for (int round = 0; round < 90; ++round) {
+    gen::LabelConfig labels;
+    labels.num_vertex_labels = 1 + round % 3;
+    labels.num_edge_labels = 1 + round % 2;
+    const Graph target = gen::ErdosRenyi(16 + round % 9, 0.22, labels, rng);
+    const Graph sibling = gen::ErdosRenyi(14, 0.25, labels, rng);
+    const MatchIndex index(target, kNoTrussShells);
+    for (const Graph* source : {&target, &sibling}) {
+      std::optional<Graph> pattern =
+          RandomConnectedSubgraph(*source, 2 + rng.UniformInt(5), rng);
+      if (!pattern.has_value()) continue;
+      MatchOptions options = variants[round % 3];
+      options.max_embeddings = 1000;
+      TallyPair(PatternPlan(*pattern, kNoTrussShells), index, options,
+                &tally);
+    }
+  }
+  EXPECT_EQ(tally.pairs, 180u);
+  EXPECT_EQ(tally.steps, 160718u);
+  EXPECT_EQ(tally.embeddings, 35252u);
+  EXPECT_EQ(tally.limit_hits, 481u);
+  EXPECT_EQ(tally.digest.value(), 12187960258287489272ull);
+}
+
+TEST(MatcherPinTest, NetworkPatternsUnderTattooCoverageOptions) {
+  // TATTOO's budgeted coverage: a labelled BA network with truss shells on
+  // both sides, capped at its embedding budget.
+  Rng rng(0xBA7);
+  gen::LabelConfig labels;
+  labels.num_vertex_labels = 4;
+  const Graph network = gen::BarabasiAlbert(400, 3, labels, rng);
+  const MatchIndex index(network);
+  const NetworkCoverageOptions coverage;
+  MatchOptions options;
+  options.match_vertex_labels = coverage.match_vertex_labels;
+  options.max_embeddings = coverage.max_embeddings;
+  CorpusTally tally;
+  for (int draw = 0; draw < 40; ++draw) {
+    std::optional<Graph> pattern =
+        RandomConnectedSubgraph(network, 3 + rng.UniformInt(6), rng);
+    if (!pattern.has_value()) continue;
+    TallyPair(PatternPlan(*pattern), index, options, &tally);
+  }
+  EXPECT_EQ(tally.pairs, 40u);
+  EXPECT_EQ(tally.steps, 29946u);
+  EXPECT_EQ(tally.embeddings, 11114u);
+  EXPECT_EQ(tally.limit_hits, 120u);
+  EXPECT_EQ(tally.digest.value(), 13646799202662274612ull);
+}
+
+TEST(MatcherPinTest, PairWhoseSeedClassHasNoTargetVertexStopsAtTheRoot) {
+  // Each pattern fits the target's size and census, but its rarest vertex
+  // class has no target vertex: a 3-leaf star in a 6-cycle (no vertex of
+  // degree 3), and a 1-2-1 path in a target whose label-2 vertices have
+  // degree 1. The search ends at its root, at every budget.
+  const Graph cycle = builder::Cycle(6);
+  const Graph labelled = builder::FromLists(
+      {1, 2, 1, 1, 2}, {{0, 1, 0}, {2, 3, 0}, {3, 4, 0}, {0, 2, 0}});
+  const std::vector<std::pair<Graph, const Graph*>> pairs = {
+      {builder::Star(3), &cycle},
+      {builder::FromLists({2, 1, 1}, {{0, 1, 0}, {0, 2, 0}}), &labelled},
+  };
+  for (const auto& [pattern, target] : pairs) {
+    const PatternPlan plan(pattern);
+    const MatchIndex index(*target);
+    ASSERT_TRUE(plan.census.FitsIn(index.census, /*edge_labels=*/true));
+    EXPECT_TRUE(naive::AllEmbeddings(pattern, *target, MatchOptions{}).empty());
+    for (uint64_t budget : {0u, 1u}) {
+      MatchOptions options;
+      options.max_steps = budget;
+      SubgraphMatcher matcher(plan, index, options);
+      EXPECT_FALSE(matcher.Exists());
+      EXPECT_EQ(matcher.steps(), 1u);
+      EXPECT_FALSE(matcher.hit_step_limit());
+      EXPECT_EQ(matcher.CountEmbeddings(), 0u);
+      EXPECT_EQ(matcher.steps(), 1u);
+      EXPECT_FALSE(matcher.hit_step_limit());
+      EXPECT_FALSE(matcher.FindOne().has_value());
+      EXPECT_EQ(matcher.steps(), 1u);
+    }
+  }
+}
+
+// CoverageBits over `index` against the oracle, for every graph of `db`.
+void ExpectCoverageEqualsOracle(const CollectionIndex& index,
+                                const GraphDatabase& db,
+                                const std::vector<Graph>& patterns) {
+  ASSERT_EQ(index.size(), db.size());
+  for (size_t p = 0; p < patterns.size(); ++p) {
+    const Bitset bits = CoverageBits(index, patterns[p]);
+    for (size_t g = 0; g < db.size(); ++g) {
+      const bool embeds =
+          !naive::AllEmbeddings(patterns[p], db.graphs()[g], {}).empty();
+      EXPECT_EQ(bits.Test(g), embeds) << "pattern " << p << " graph " << g;
+    }
+  }
+}
+
+TEST(CollectionIndexTest, CoverageFollowsRemoveAddAndCopyOnWrite) {
+  // Remove reorders graphs(), so an admission column out of step with the
+  // entries would test one graph's census against another's search.
+  GraphDatabase molecules = gen::MoleculeDatabase(60, {}, 0xC0A7);
+  GraphDatabase db;
+  for (size_t i = 0; i < 30; ++i) db.Add(molecules.graphs()[i]);
+  Rng rng(0xC0A8);
+  std::vector<Graph> patterns;
+  for (size_t i = 30; i < molecules.size(); ++i) {
+    std::optional<Graph> pattern = RandomConnectedSubgraph(
+        molecules.graphs()[i], 1 + rng.UniformInt(5), rng);
+    if (pattern.has_value()) patterns.push_back(std::move(*pattern));
+  }
+  for (const CandidateIndexOptions& options :
+       {kNoTrussShells, CandidateIndexOptions{}}) {
+    GraphDatabase edited = db;
+    const CollectionIndex before(edited, options);
+    ExpectCoverageEqualsOracle(before, edited, patterns);
+    ASSERT_TRUE(edited.Remove(edited.graphs()[2].id()));
+    ASSERT_TRUE(edited.Remove(edited.graphs()[11].id()));
+    const GraphId rewritten = edited.graphs()[5].id();
+    ASSERT_TRUE(edited.Remove(rewritten));
+    Graph replacement = molecules.graphs()[45];
+    replacement.set_id(rewritten);
+    edited.Add(std::move(replacement));
+    edited.Add(molecules.graphs()[50]);
+    edited.Add(builder::Star(5));
+    const CollectionIndex after(before, edited);
+    EXPECT_EQ(after.builds(), 3u);
+    ExpectCoverageEqualsOracle(after, edited, patterns);
+    ExpectCoverageEqualsOracle(CollectionIndex(edited, options), edited,
+                               patterns);
+  }
+}
+
 }  // namespace
 }  // namespace vqi

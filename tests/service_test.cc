@@ -16,6 +16,7 @@
 #include "graph/generators.h"
 #include "graph/graph_builder.h"
 #include "gtest/gtest.h"
+#include "match/pattern_utils.h"
 #include "obs/export.h"
 #include "service/lru_cache.h"
 #include "service/query_service.h"
@@ -780,6 +781,112 @@ TEST(QueryServiceTest, MaintainerBatchRebuildsOwnerGraphMatchIndex) {
   EXPECT_EQ(after.matched_graphs, expected.matched_graphs);
   // Exactly one rebuild: the rewritten graph's index, nothing else.
   EXPECT_EQ(service.Snapshot().index_builds, builds_before + 1);
+}
+
+// One worker, no cache and no coalescing, so every request runs the
+// collection loop and its counters depend only on the data.
+QueryServiceOptions ScanOnlyOptions(resilience::FaultInjector* injector) {
+  QueryServiceOptions options;
+  options.num_threads = 1;
+  options.cache_capacity = 0;
+  options.enable_coalescing = false;
+  options.fault_injector = injector;
+  return options;
+}
+
+// Totals over a batch of kAllGraphs requests.
+struct ScanTally {
+  uint64_t steps = 0;
+  uint64_t slices = 0;
+  uint64_t embeddings = 0;
+  uint64_t matched = 0;
+  uint64_t matched_id_sum = 0;
+  uint64_t failed = 0;
+};
+
+ScanTally ScanCollection(QueryService& service,
+                         const std::vector<Graph>& patterns,
+                         double deadline_ms) {
+  ScanTally tally;
+  for (const Graph& pattern : patterns) {
+    QueryRequest request;
+    request.pattern = pattern;
+    request.deadline_ms = deadline_ms;
+    const QueryResult result = service.Execute(request);
+    tally.failed += result.status.ok() ? 0 : 1;
+    tally.steps += result.match_steps;
+    tally.slices += result.match_slices;
+    tally.embeddings += result.embedding_count;
+    tally.matched += result.matched_graphs.size();
+    for (GraphId id : result.matched_graphs) {
+      tally.matched_id_sum += static_cast<uint64_t>(id);
+    }
+  }
+  return tally;
+}
+
+// Molecule patterns of 4-10 edges against a molecule collection: the size
+// test and the label census rule out most graphs of every request, as on
+// the cold serving path.
+std::vector<Graph> ColdScanPatterns(const GraphDatabase& molecules,
+                                    size_t first) {
+  Rng rng(0x5CA9);
+  std::vector<Graph> patterns;
+  for (size_t i = first; i < molecules.size(); ++i) {
+    std::optional<Graph> pattern = RandomConnectedSubgraph(
+        molecules.graphs()[i], 4 + rng.UniformInt(7), rng);
+    if (pattern.has_value()) patterns.push_back(std::move(*pattern));
+  }
+  return patterns;
+}
+
+// Counters a kAllGraphs scan reports, read off the engine before the
+// collection's admission column existed: a graph the column rules out must
+// still cost one slice at 0 steps, as a matcher that does not fit does.
+TEST(QueryServiceTest, CollectionScanCountersArePinned) {
+  const GraphDatabase molecules = gen::MoleculeDatabase(150, {}, 0x5CA8);
+  GraphDatabase db;
+  for (size_t i = 0; i < 120; ++i) db.Add(molecules.graphs()[i]);
+  const std::vector<Graph> patterns = ColdScanPatterns(molecules, 120);
+  ASSERT_EQ(patterns.size(), 26u);
+  QueryService service(db, ScanOnlyOptions(nullptr));
+  const ScanTally whole = ScanCollection(service, patterns, 0);
+  EXPECT_EQ(whole.failed, 0u);
+  EXPECT_EQ(whole.steps, 43846u);
+  EXPECT_EQ(whole.slices, 26u * 120u);
+  EXPECT_EQ(whole.embeddings, 1850u);
+  EXPECT_EQ(whole.matched, 243u);
+  EXPECT_EQ(whole.matched_id_sum, 14317u);
+  // Under a deadline the same scan runs in step slices; every target
+  // finishes within its first.
+  const ScanTally sliced = ScanCollection(service, patterns, 600000);
+  EXPECT_EQ(sliced.failed, 0u);
+  EXPECT_EQ(sliced.steps, whole.steps);
+  EXPECT_EQ(sliced.slices, whole.slices);
+  EXPECT_EQ(sliced.embeddings, whole.embeddings);
+  EXPECT_EQ(sliced.matched_id_sum, whole.matched_id_sum);
+}
+
+// The same scan under a seeded vf2_slice fault spec: every target draws one
+// fault per slice, ruled out or not, so the tally is fixed by the seed.
+TEST(QueryServiceTest, CollectionScanFaultTallyIsPinned) {
+  const GraphDatabase molecules = gen::MoleculeDatabase(150, {}, 0x5CA8);
+  GraphDatabase db;
+  for (size_t i = 0; i < 120; ++i) db.Add(molecules.graphs()[i]);
+  const std::vector<Graph> patterns = ColdScanPatterns(molecules, 120);
+  auto plan = resilience::FaultInjector::ParseChaosSpec(
+      "seed=21;vf2_slice:error=0.002");
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  resilience::FaultInjector injector(*plan);
+  QueryService service(db, ScanOnlyOptions(&injector));
+  const ScanTally tally = ScanCollection(service, patterns, 0);
+  EXPECT_EQ(injector.InjectedErrors(resilience::FaultPoint::kVf2Slice),
+            5u);
+  EXPECT_EQ(tally.failed, 5u);
+  EXPECT_EQ(tally.slices, 2746u);
+  EXPECT_EQ(tally.steps, 42191u);
+  EXPECT_EQ(tally.embeddings, 1828u);
+  EXPECT_EQ(tally.matched_id_sum, 13246u);
 }
 
 TEST(QueryServiceTest, ConcurrentColdRequestsBuildEachIndexOnce) {
