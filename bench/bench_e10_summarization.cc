@@ -9,6 +9,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <iterator>
+
 #include "bench_util.h"
 #include "common/rng.h"
 #include "graph/generators.h"
@@ -22,7 +25,28 @@ namespace {
 
 constexpr uint64_t kSeed = 110;
 
-void RunExperiment() {
+// EXPERIMENTS.md §E10's figures. Every cell is deterministic: TATTOO's picks
+// and the summarizer's greedy both run step-budgeted coverage over a seeded
+// network.
+struct VocabularyPin {
+  const char* patterns_used;
+  const char* edge_coverage;
+  const char* uncovered_edges;
+  const char* mean_cognitive_load;
+};
+constexpr VocabularyPin kCannedPin = {"10", "0.605", "2369", "0.294"};
+constexpr VocabularyPin kBasicPin = {"2", "0.048", "5712", "0.175"};
+constexpr VocabularyPin kRandomPin = {"10", "0.363", "3821", "0.296"};
+// E10b, per greedy pick of the canned vocabulary: pattern edges and new
+// edges explained.
+constexpr const char* kMarginalPins[][2] = {
+    {"6", "787"}, {"6", "635"}, {"5", "494"}, {"5", "434"}, {"6", "290"},
+    {"4", "242"}, {"5", "218"}, {"5", "195"}, {"4", "193"}, {"4", "143"},
+};
+
+// Prints both tables; returns the number of pinned cells that moved (a
+// failed run, or a pick count other than the pinned one, counts as one).
+size_t RunExperiment() {
   Rng rng(kSeed);
   gen::LabelConfig labels;
   labels.num_vertex_labels = 4;
@@ -36,7 +60,7 @@ void RunExperiment() {
   auto tattoo = RunTattoo(network, config);
   if (!tattoo.ok()) {
     std::printf("E10 FAILED: %s\n", tattoo.status().ToString().c_str());
-    return;
+    return 1;
   }
 
   // Vocabulary 2: basic patterns (dominant label 0).
@@ -60,16 +84,24 @@ void RunExperiment() {
   struct Entry {
     const char* name;
     const std::vector<Graph>* vocab;
+    const VocabularyPin& pin;
   };
-  for (Entry entry : {Entry{"canned (TATTOO)", &tattoo->patterns},
-                      Entry{"basic only", &basic},
-                      Entry{"random subgraphs", &random_vocab}}) {
+  bench::PinTally pins;
+  for (const Entry& entry :
+       {Entry{"canned (TATTOO)", &tattoo->patterns, kCannedPin},
+        Entry{"basic only", &basic, kBasicPin},
+        Entry{"random subgraphs", &random_vocab, kRandomPin}}) {
     GraphSummary summary =
         SummarizeWithPatterns(network, *entry.vocab, sconfig);
-    table.AddRow({entry.name, std::to_string(summary.patterns.size()),
-                  bench::Fmt(summary.edge_coverage),
-                  std::to_string(summary.uncovered_edges),
-                  bench::Fmt(summary.mean_cognitive_load)});
+    table.AddRow(
+        {entry.name,
+         pins.Cell(std::to_string(summary.patterns.size()),
+                   entry.pin.patterns_used),
+         pins.Cell(bench::Fmt(summary.edge_coverage), entry.pin.edge_coverage),
+         pins.Cell(std::to_string(summary.uncovered_edges),
+                   entry.pin.uncovered_edges),
+         pins.Cell(bench::Fmt(summary.mean_cognitive_load),
+                   entry.pin.mean_cognitive_load)});
   }
   table.Print();
 
@@ -77,12 +109,21 @@ void RunExperiment() {
   GraphSummary canned = SummarizeWithPatterns(network, tattoo->patterns, sconfig);
   bench::Table marginals("E10b: greedy marginal edge gains (canned vocabulary)",
                          {"pick #", "pattern edges", "new edges explained"});
-  for (size_t i = 0; i < canned.patterns.size(); ++i) {
-    marginals.AddRow({std::to_string(i + 1),
-                      std::to_string(canned.patterns[i].NumEdges()),
-                      std::to_string(canned.explained_edges[i])});
+  const size_t picks = std::min(canned.patterns.size(), std::size(kMarginalPins));
+  for (size_t i = 0; i < picks; ++i) {
+    marginals.AddRow(
+        {std::to_string(i + 1),
+         pins.Cell(std::to_string(canned.patterns[i].NumEdges()),
+                   kMarginalPins[i][0]),
+         pins.Cell(std::to_string(canned.explained_edges[i]),
+                   kMarginalPins[i][1])});
   }
   marginals.Print();
+  const size_t moved =
+      pins.moved() + (canned.patterns.size() != std::size(kMarginalPins));
+  std::printf("E10 pin: %s (%zu cells moved)\n\n",
+              moved == 0 ? "PASS" : "FAIL", moved);
+  return moved;
 }
 
 void BM_Summarize(benchmark::State& state) {
@@ -103,7 +144,7 @@ BENCHMARK(BM_Summarize)->Unit(benchmark::kMillisecond);
 
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
-  vqi::RunExperiment();
+  const size_t moved_cells = vqi::RunExperiment();
   benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return moved_cells == 0 ? 0 : 1;
 }

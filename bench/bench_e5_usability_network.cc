@@ -21,7 +21,34 @@ namespace {
 
 constexpr uint64_t kSeed = 55;
 
-void RunExperiment() {
+// EXPERIMENTS.md §E5's figures. Every cell is deterministic: the network,
+// TATTOO's picks (under its step-budgeted coverage), the workload and the
+// formulation model all follow the seed.
+struct TopologyPin {
+  TopologyClass cls;
+  const char* workload;
+  const char* selected;
+};
+constexpr TopologyPin kTopologyPins[] = {
+    {TopologyClass::kChain, "48", "2"}, {TopologyClass::kStar, "23", "3"},
+    {TopologyClass::kTree, "0", "0"},   {TopologyClass::kCycle, "4", "0"},
+    {TopologyClass::kPetal, "3", "3"},  {TopologyClass::kFlower, "2", "2"},
+    {TopologyClass::kOther, "0", "0"},
+};
+struct UsabilityPin {
+  const char* mean_steps;
+  const char* median_steps;
+  const char* mean_seconds;
+  const char* patterns_per_query;
+};
+constexpr UsabilityPin kDataDrivenPin = {"7.5", "7.0", "18.0", "1.64"};
+constexpr UsabilityPin kManualPin = {"10.0", "9.0", "23.2", "2.67"};
+constexpr const char* kStepReductionPin = "25.5";
+constexpr const char* kTimeReductionPin = "22.5";
+
+// Prints both tables; returns the number of pinned cells that moved (a
+// failed build counts as one).
+size_t RunExperiment() {
   Rng rng(kSeed);
   gen::LabelConfig labels;
   labels.num_vertex_labels = 6;
@@ -34,8 +61,9 @@ void RunExperiment() {
   auto built = BuildVqiForNetwork(network, config);
   if (!built.ok()) {
     std::printf("E5 FAILED: %s\n", built.status().ToString().c_str());
-    return;
+    return 1;
   }
+  bench::PinTally pins;
 
   // (a) Topology histograms.
   WorkloadConfig wconfig;
@@ -50,12 +78,12 @@ void RunExperiment() {
 
   bench::Table topo("E5a: topology mix — query log model vs selected patterns",
                     {"topology", "workload queries", "selected patterns"});
-  for (TopologyClass cls :
-       {TopologyClass::kChain, TopologyClass::kStar, TopologyClass::kTree,
-        TopologyClass::kCycle, TopologyClass::kPetal, TopologyClass::kFlower,
-        TopologyClass::kOther}) {
-    topo.AddRow({TopologyClassName(cls), std::to_string(workload_hist[cls]),
-                 std::to_string(selected_hist[cls])});
+  for (const TopologyPin& pin : kTopologyPins) {
+    topo.AddRow({TopologyClassName(pin.cls),
+                 pins.Cell(std::to_string(workload_hist[pin.cls]),
+                           pin.workload),
+                 pins.Cell(std::to_string(selected_hist[pin.cls]),
+                           pin.selected)});
   }
   topo.Print();
 
@@ -73,17 +101,30 @@ void RunExperiment() {
   bench::Table usability("E5b: formulation on a large network (TATTOO VQI)",
                          {"interface", "mean steps", "median steps",
                           "mean time (s)", "patterns/query"});
-  usability.AddRow({"data-driven", bench::Fmt(cmp.data_driven.mean_steps, 1),
-                    bench::Fmt(cmp.data_driven.median_steps, 1),
-                    bench::Fmt(cmp.data_driven.mean_seconds, 1),
-                    bench::Fmt(cmp.data_driven.mean_patterns_used, 2)});
-  usability.AddRow({"manual", bench::Fmt(cmp.manual.mean_steps, 1),
-                    bench::Fmt(cmp.manual.median_steps, 1),
-                    bench::Fmt(cmp.manual.mean_seconds, 1),
-                    bench::Fmt(cmp.manual.mean_patterns_used, 2)});
-  usability.AddRow({"reduction %", bench::Fmt(cmp.step_reduction_percent(), 1),
-                    "-", bench::Fmt(cmp.time_reduction_percent(), 1), "-"});
+  auto usability_row = [&pins](const char* name, const UsabilityResult& stats,
+                                const UsabilityPin& pin) {
+    return std::vector<std::string>{
+        name, pins.Cell(bench::Fmt(stats.mean_steps, 1), pin.mean_steps),
+        pins.Cell(bench::Fmt(stats.median_steps, 1), pin.median_steps),
+        pins.Cell(bench::Fmt(stats.mean_seconds, 1), pin.mean_seconds),
+        pins.Cell(bench::Fmt(stats.mean_patterns_used, 2),
+                  pin.patterns_per_query)};
+  };
+  usability.AddRow(usability_row("data-driven", cmp.data_driven,
+                                 kDataDrivenPin));
+  usability.AddRow(usability_row("manual", cmp.manual, kManualPin));
+  usability.AddRow(
+      {"reduction %",
+       pins.Cell(bench::Fmt(cmp.step_reduction_percent(), 1),
+                 kStepReductionPin),
+       "-",
+       pins.Cell(bench::Fmt(cmp.time_reduction_percent(), 1),
+                 kTimeReductionPin),
+       "-"});
   usability.Print();
+  std::printf("E5 pin: %s (%zu cells moved)\n\n",
+              pins.moved() == 0 ? "PASS" : "FAIL", pins.moved());
+  return pins.moved();
 }
 
 void BM_NetworkWorkloadGeneration(benchmark::State& state) {
@@ -103,7 +144,7 @@ BENCHMARK(BM_NetworkWorkloadGeneration)->Unit(benchmark::kMillisecond);
 
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
-  vqi::RunExperiment();
+  const size_t moved_cells = vqi::RunExperiment();
   benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return moved_cells == 0 ? 0 : 1;
 }

@@ -21,6 +21,20 @@ inline std::string PinCell(const std::string& value,
   return value == pinned ? value : value + " MOVED from " + pinned;
 }
 
+/// PinCell that also counts the cells that moved, for a bench that pins a
+/// whole table and exits 1 when any cell moved.
+class PinTally {
+ public:
+  std::string Cell(const std::string& value, const std::string& pinned) {
+    if (value != pinned) ++moved_;
+    return PinCell(value, pinned);
+  }
+  size_t moved() const { return moved_; }
+
+ private:
+  size_t moved_ = 0;
+};
+
 /// Aligned ASCII table printer used by every experiment harness so the
 /// reproduced tables read uniformly (and diff cleanly between runs).
 class Table {

@@ -140,14 +140,18 @@ LabelCensus::LabelCensus(const CsrGraph& csr) {
 }
 
 bool LabelCensus::FitsIn(const LabelCensus& target, bool edge_labels) const {
+  // OR of "pattern bucket exceeds target bucket" over every bucket: most
+  // pairs a scan meets fail on some bucket, at no predictable position.
+  uint8_t over = 0;
   for (size_t b = 0; b < kVertexBuckets; ++b) {
-    if (vertices[b] > target.vertices[b]) return false;
+    over |= static_cast<uint8_t>(vertices[b] > target.vertices[b]);
   }
-  if (!edge_labels) return true;
-  for (size_t b = 0; b < kEdgeBuckets; ++b) {
-    if (edges[b] > target.edges[b]) return false;
+  if (edge_labels) {
+    for (size_t b = 0; b < kEdgeBuckets; ++b) {
+      over |= static_cast<uint8_t>(edges[b] > target.edges[b]);
+    }
   }
-  return true;
+  return over == 0;
 }
 
 CandidateIndex::CandidateIndex(const CsrGraph& csr) {
@@ -204,6 +208,11 @@ MatchIndex::MatchIndex(const Graph& g, const CandidateIndexOptions& options)
 MatchIndex::MatchIndex(const Graph& g, const TrussDecomposition& truss)
     : csr(g), candidates(CandidateIndex::Build(csr, truss)), census(csr) {}
 
+AdmissionRow MatchIndex::Admission() const {
+  return {static_cast<uint32_t>(csr.NumVertices()),
+          static_cast<uint32_t>(csr.NumEdges()), census};
+}
+
 std::shared_ptr<const MatchIndex> MatchIndex::Build(
     const Graph& g, const CandidateIndexOptions& options) {
   return std::make_shared<const MatchIndex>(g, options);
@@ -216,6 +225,15 @@ PatternPlan::PatternPlan(const Graph& pattern,
       shells(VertexShells(pattern, csr, options)) {
   ComputeSignatures(csr, &signatures, &repeat_signatures);
   const size_t n = csr.NumVertices();
+  std::vector<uint64_t> classes;  // (label, degree) keys already seeded
+  for (VertexId v = 0; v < n; ++v) {
+    const uint64_t key = BucketKey(csr.VertexLabel(v), csr.Degree(v));
+    if (std::find(classes.begin(), classes.end(), key) != classes.end()) {
+      continue;
+    }
+    classes.push_back(key);
+    seeds.push_back(v);
+  }
   orders.resize(n * n);
   anchors.resize(n * n);
   for (VertexId start = 0; start < n; ++start) {
@@ -240,6 +258,7 @@ void CollectionIndex::IndexGraphs(const GraphDatabase& db,
                                   const CollectionIndex* previous) {
   version_ = db.Version();
   entries_.reserve(db.size());
+  admission_.reserve(db.size());
   position_.reserve(db.size());
   for (const Graph& g : db.graphs()) {
     const uint64_t content_version = db.ContentVersion(g.id());
@@ -256,6 +275,7 @@ void CollectionIndex::IndexGraphs(const GraphDatabase& db,
       ++builds_;
     }
     position_.emplace(g.id(), entries_.size());
+    admission_.push_back(index->Admission());
     entries_.push_back({g.id(), content_version, std::move(index)});
   }
 }

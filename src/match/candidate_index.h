@@ -122,10 +122,20 @@ struct LabelCensus {
 
   /// True when every bucket of this (pattern) census is <= the one of
   /// `target`; edge-type buckets count only when `edge_labels` is set.
+  /// Compares every bucket without an early exit, so the loops vectorize.
   bool FitsIn(const LabelCensus& target, bool edge_labels) const;
 
   std::array<uint8_t, kVertexBuckets> vertices{};
   std::array<uint8_t, kEdgeBuckets> edges{};
+};
+
+/// What the matcher's admission test reads of a target graph: its size and
+/// its label census. A CollectionIndex keeps one per graph in a dense
+/// column, so a scan rules a graph out without touching its MatchIndex.
+struct AdmissionRow {
+  uint32_t vertices = 0;
+  uint32_t edges = 0;
+  LabelCensus census;
 };
 
 /// The target side of a match: a CSR snapshot plus its candidate index and
@@ -141,6 +151,9 @@ struct MatchIndex {
   CandidateIndex candidates;
   LabelCensus census;
 
+  /// This graph's size and census, as a CollectionIndex's column holds them.
+  AdmissionRow Admission() const;
+
   static std::shared_ptr<const MatchIndex> Build(
       const Graph& g, const CandidateIndexOptions& options = {});
 };
@@ -148,8 +161,8 @@ struct MatchIndex {
 /// The pattern side of a match, compiled once per pattern and shared by
 /// every search of it: the pattern's CSR, its label census and its vertices'
 /// neighborhood label signatures (the same census and masks a MatchIndex
-/// keeps), the match order from every seed vertex and, when compiled with
-/// truss shells, its vertex shells. Compile a plan with the options of the
+/// keeps), the seed candidates, the match order from every seed vertex and,
+/// when compiled with truss shells, its vertex shells. Compile a plan with the options of the
 /// indexes it will run against; a plan and an index without shells on both
 /// sides simply skip the shell filter.
 struct PatternPlan {
@@ -173,6 +186,10 @@ struct PatternPlan {
   std::vector<uint64_t> signatures;
   std::vector<uint64_t> repeat_signatures;
   std::vector<int> shells;  // empty when compiled without truss shells
+  /// The lowest-id vertex of each distinct (label, degree), in id order.
+  /// Vertices of one class have the same seed width and degree, so the
+  /// seed choice only needs to probe these.
+  std::vector<VertexId> seeds;
   std::vector<VertexId> orders;  // row per seed vertex, see Order()
   std::vector<int> anchors;      // row per seed vertex, see Anchors()
 };
@@ -199,6 +216,9 @@ class CollectionIndex {
   /// Id and index of the i-th graph in the database's graphs() order.
   GraphId id(size_t i) const { return entries_[i].id; }
   const MatchIndex& at(size_t i) const { return *entries_[i].index; }
+  /// The i-th graph's size and census, copied from at(i) into one dense
+  /// column: read it first, and fetch at(i) only for a pair it admits.
+  const AdmissionRow& admission(size_t i) const { return admission_[i]; }
   /// The index of graph `id`, or nullptr when the database did not hold it.
   const MatchIndex* Find(GraphId id) const;
 
@@ -223,6 +243,7 @@ class CollectionIndex {
   CandidateIndexOptions options_;
   uint64_t version_ = 0;
   std::vector<Entry> entries_;                   // graphs() order
+  std::vector<AdmissionRow> admission_;          // parallel to entries_
   std::unordered_map<GraphId, size_t> position_;  // id -> entries_ index
   size_t builds_ = 0;
 };

@@ -5,6 +5,18 @@
 
 namespace vqi {
 
+bool Admits(const PatternPlan& plan, const AdmissionRow& target,
+            const MatchOptions& options) {
+  // The census compares labels exactly, so it applies under the gate of the
+  // label filters; when edge labels are matched it compares every edge type.
+  const bool exact_labels =
+      options.match_vertex_labels && !options.dummy_is_wildcard;
+  return plan.csr.NumVertices() <= target.vertices &&
+         plan.csr.NumEdges() <= target.edges &&
+         (!exact_labels ||
+          plan.census.FitsIn(target.census, options.match_edge_labels));
+}
+
 SubgraphMatcher::SubgraphMatcher(const Graph& pattern, const Graph& target,
                                  MatchOptions options)
     : owned_plan_(std::in_place, pattern, kNoTrussShells),
@@ -29,24 +41,26 @@ void SubgraphMatcher::Init() {
   // wildcards; degree and truss filters are structural and always sound.
   label_filters_ = options_.match_vertex_labels && !options_.dummy_is_wildcard;
   shell_filter_ = !plan_->shells.empty() && index_->candidates.has_truss();
-  // Under the same gate the label census extends the size test to every
-  // vertex label and, when edge labels are matched, every edge type.
-  fits_ = pcsr_->NumVertices() <= tcsr_->NumVertices() &&
-          pcsr_->NumEdges() <= tcsr_->NumEdges() &&
-          (!label_filters_ ||
-           plan_->census.FitsIn(index_->census, options_.match_edge_labels));
+  fits_ = Admits(*plan_, index_->Admission(), options_);
   // A pair that does not fit is never searched, and an empty pattern's one
   // (empty) embedding sits at the search root: neither needs an order or
   // scratch space.
   if (pcsr_->NumVertices() == 0 || !fits_) return;
+  size_t width = 0;
+  const VertexId start = ChooseStart(&width);
+  // No target vertex passes the seed's label and degree filters, so the
+  // root expands no candidate: neither does this pair need scratch space.
+  if (width == 0) {
+    root_only_ = true;
+    return;
+  }
   mapping_.assign(pcsr_->NumVertices(), kUnmapped);
   used_.assign(tcsr_->NumVertices(), false);
-  const VertexId start = ChooseStart();
   order_ = plan_->Order(start);
   anchor_ = plan_->Anchors(start);
 }
 
-VertexId SubgraphMatcher::ChooseStart() const {
+VertexId SubgraphMatcher::ChooseStart(size_t* width) const {
   // Seed from the rarest pattern vertex: the one with the fewest viable
   // target candidates |{tv : label(tv) == label(v), deg(tv) >= deg(v)}|, read
   // off the index's label buckets. Ties prefer higher degree (a stronger
@@ -56,17 +70,20 @@ VertexId SubgraphMatcher::ChooseStart() const {
   // (wildcards, labels ignored) the highest-degree vertex starts.
   const size_t n = pcsr_->NumVertices();
   VertexId start = 0;
+  *width = std::numeric_limits<size_t>::max();
   if (label_filters_) {
-    size_t best_width = std::numeric_limits<size_t>::max();
-    for (VertexId v = 0; v < n; ++v) {
-      size_t width = index_->candidates
-                         .CandidatesForLabel(pcsr_->VertexLabel(v),
-                                             pcsr_->Degree(v))
-                         .size();
-      if (width < best_width ||
-          (width == best_width && pcsr_->Degree(v) > pcsr_->Degree(start))) {
+    // A later vertex of a (label, degree) class has its first's width and
+    // degree, so neither strict comparison lets it displace the first:
+    // probing one vertex per class, in id order, picks the same seed.
+    for (VertexId v : plan_->seeds) {
+      size_t candidates = index_->candidates
+                              .CandidatesForLabel(pcsr_->VertexLabel(v),
+                                                  pcsr_->Degree(v))
+                              .size();
+      if (candidates < *width ||
+          (candidates == *width && pcsr_->Degree(v) > pcsr_->Degree(start))) {
         start = v;
-        best_width = width;
+        *width = candidates;
       }
     }
   } else {
@@ -78,7 +95,8 @@ VertexId SubgraphMatcher::ChooseStart() const {
   return start;
 }
 
-bool SubgraphMatcher::Feasible(VertexId pu, VertexId tv) const {
+bool SubgraphMatcher::Feasible(VertexId pu, VertexId tv, VertexId anchor,
+                               Label anchor_label) const {
   auto labels_compatible = [&](Label a, Label b) {
     if (a == b) return true;
     return options_.dummy_is_wildcard &&
@@ -90,15 +108,20 @@ bool SubgraphMatcher::Feasible(VertexId pu, VertexId tv) const {
   }
   // Every pattern edge from pu to an already-mapped vertex must exist in the
   // target (with a matching label); for induced matching, mapped non-edges
-  // must stay non-edges. Degree was already checked by IndexAdmits.
+  // must stay non-edges. Degree was already checked by IndexAdmits. The
+  // edge to the anchor's image is the one tv was read from.
   for (const Neighbor* nb = pcsr_->NeighborsBegin(pu);
        nb != pcsr_->NeighborsEnd(pu); ++nb) {
     VertexId mapped = mapping_[nb->vertex];
     if (mapped == kUnmapped) continue;
-    std::optional<Label> elabel = tcsr_->EdgeLabel(tv, mapped);
-    if (!elabel.has_value()) return false;
+    Label elabel = anchor_label;
+    if (nb->vertex != anchor) {
+      std::optional<Label> found = tcsr_->EdgeLabel(tv, mapped);
+      if (!found.has_value()) return false;
+      elabel = *found;
+    }
     if (options_.match_edge_labels &&
-        !labels_compatible(*elabel, nb->edge_label)) {
+        !labels_compatible(elabel, nb->edge_label)) {
       return false;
     }
   }
@@ -163,10 +186,11 @@ bool SubgraphMatcher::Recurse(
   }
   VertexId pu = order_[depth];
   int anchor = anchor_[depth];
-  auto try_candidate = [&](VertexId tv) {
+  auto try_candidate = [&](VertexId tv, VertexId anchor_pu,
+                           Label anchor_label) {
     if (used_[tv] || !IndexAdmits(pu, tv)) return true;
     if (!budget_ok()) return false;
-    if (!Feasible(pu, tv)) return true;
+    if (!Feasible(pu, tv, anchor_pu, anchor_label)) return true;
     mapping_[pu] = tv;
     used_[tv] = true;
     bool keep_going = Recurse(depth + 1, cb, found);
@@ -176,25 +200,27 @@ bool SubgraphMatcher::Recurse(
   };
   if (anchor >= 0) {
     // Candidates: target neighbors of the anchor's image.
-    VertexId t_anchor = mapping_[order_[static_cast<size_t>(anchor)]];
+    const VertexId anchor_pu = order_[static_cast<size_t>(anchor)];
+    const VertexId t_anchor = mapping_[anchor_pu];
     for (const Neighbor* nb = tcsr_->NeighborsBegin(t_anchor);
          nb != tcsr_->NeighborsEnd(t_anchor); ++nb) {
-      if (!try_candidate(nb->vertex)) return false;
+      if (!try_candidate(nb->vertex, anchor_pu, nb->edge_label)) return false;
     }
   } else {
     // Anchorless depth (the seed, or a new component): every target vertex
     // in id order.
     for (VertexId tv = 0; tv < tcsr_->NumVertices(); ++tv) {
-      if (!try_candidate(tv)) return false;
+      if (!try_candidate(tv, kUnmapped, 0)) return false;
     }
   }
   return true;
 }
 
 bool SubgraphMatcher::StartRun() {
-  steps_ = 0;
+  // A root-only run is its root's one step, which fits every budget.
+  steps_ = root_only_ ? 1 : 0;
   hit_step_limit_ = false;
-  return fits_;
+  return fits_ && !root_only_;
 }
 
 bool SubgraphMatcher::Exists() {

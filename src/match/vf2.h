@@ -35,17 +35,26 @@ struct MatchOptions {
 /// An embedding maps pattern vertex i to Embedding[i] in the target.
 using Embedding = std::vector<VertexId>;
 
+/// The admission test every search starts with (docs/matching.md, "Label
+/// census"): false when the pattern compiled into `plan` has more vertices
+/// or edges than `target` or, when labels are matched exactly under
+/// `options`, a census bucket above the target's. Such a pair has no
+/// embedding. `target` is MatchIndex::Admission() or a CollectionIndex's
+/// admission column.
+bool Admits(const PatternPlan& plan, const AdmissionRow& target,
+            const MatchOptions& options);
+
 /// VF2-style backtracking matcher for one (pattern, target) pair, run over a
 /// compiled PatternPlan and the target's MatchIndex. Construction admits the
-/// pair first: a pattern with more vertices or edges than the target, or —
-/// when labels are matched exactly — a plan census bucket above the index's
-/// (docs/matching.md, "Label census"), has no embedding, so every run of it
-/// returns none at 0 steps and the matcher allocates no scratch. An admitted
-/// search seeds from the rarest-label pattern vertex and pre-filters every
-/// candidate by degree, neighborhood label signatures and truss shells before
-/// the full feasibility check. Candidates are visited in target adjacency
-/// order at anchored depths and in vertex-id order at anchorless ones, so
-/// the embedding sequence does not depend on which filters an index carries.
+/// pair first (Admits): a pair it rules out has no embedding, so every run
+/// of it returns none at 0 steps and the matcher allocates no scratch. An
+/// admitted search seeds from the rarest-label pattern vertex; when no target
+/// vertex can take that seed, every run ends at the search root (1 step),
+/// again without scratch. Otherwise every candidate is pre-filtered by
+/// degree, neighborhood label signatures and truss shells before the full
+/// feasibility check. Candidates are visited in target adjacency order at
+/// anchored depths and in vertex-id order at anchorless ones, so the
+/// embedding sequence does not depend on which filters an index carries.
 ///
 /// The pattern must be connected for meaningful candidate propagation; a
 /// disconnected pattern is matched component-by-component implicitly by
@@ -101,20 +110,29 @@ class SubgraphMatcher {
   /// index's O(1) admission filters never cost a step, and a pair ruled out
   /// at construction (oversized, or failing the label census) costs 0 steps
   /// and never hits the limit. An empty pattern's one embedding is the
-  /// search root: 1 step.
+  /// search root: 1 step. So is a pair whose seed no target vertex can
+  /// take, which never hits the limit either: a set max_steps is >= 1.
   uint64_t steps() const { return steps_; }
 
  private:
   void Init();
-  /// The seed vertex for this target, which picks the plan's match order.
-  VertexId ChooseStart() const;
-  bool Feasible(VertexId pu, VertexId tv) const;
+  /// The seed vertex for this target, which picks the plan's match order;
+  /// `*width` is its candidate count when label seeding is sound and
+  /// SIZE_MAX otherwise.
+  VertexId ChooseStart(size_t* width) const;
+  /// Full consistency check of pu -> tv. `anchor` is the pattern vertex
+  /// whose image's adjacency row yielded tv over an edge labelled
+  /// `anchor_label` (kUnmapped at an anchorless depth): that edge is known
+  /// to exist, so only the other mapped neighbors are looked up.
+  bool Feasible(VertexId pu, VertexId tv, VertexId anchor,
+                Label anchor_label) const;
   /// Cheap prune-only index filters (degree, exact label, signature
   /// subsumption, truss shell).
   bool IndexAdmits(VertexId pu, VertexId tv) const;
   bool Recurse(size_t depth, const std::function<bool(const Embedding&)>& cb,
                uint64_t* found);
-  /// Resets the per-run counters; false when no embedding can exist.
+  /// Resets the per-run counters; false when the run needs no search (no
+  /// embedding can exist).
   bool StartRun();
 
   std::optional<PatternPlan> owned_plan_;  // one-off form only
@@ -127,6 +145,7 @@ class SubgraphMatcher {
   bool label_filters_ = false;  // bucket seeding + signatures are sound
   bool shell_filter_ = false;   // plan and index both carry truss shells
   bool fits_ = false;  // size and (gated) label census admit the pair
+  bool root_only_ = false;  // fits, but no target vertex can take the seed
   const VertexId* order_ = nullptr;    // pattern vertices in match order
   const int* anchor_ = nullptr;        // order index of an earlier neighbor
   std::vector<VertexId> mapping_;      // pattern -> target (kUnmapped if none)

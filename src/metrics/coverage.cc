@@ -36,8 +36,14 @@ double DbSetCoverage(const GraphDatabase& db,
 Bitset CoverageBits(const CollectionIndex& index, const Graph& pattern) {
   Bitset bits(index.size());
   PatternPlan plan(pattern, index.options());
+  const MatchOptions options;
   for (size_t i = 0; i < index.size(); ++i) {
-    if (SubgraphMatcher(plan, index.at(i)).Exists()) bits.Set(i);
+    // The admission column first: most pairs end here, with no MatchIndex
+    // touched.
+    if (Admits(plan, index.admission(i), options) &&
+        SubgraphMatcher(plan, index.at(i), options).Exists()) {
+      bits.Set(i);
+    }
   }
   return bits;
 }

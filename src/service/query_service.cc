@@ -562,7 +562,9 @@ QueryResult QueryService::RunMatch(const QueryRequest& request,
   };
   // Pattern-side prep is compiled once per request, not per target or slice.
   const PatternPlan plan(request.pattern, indexes.options());
-  auto match_one = [&](GraphId id, const MatchIndex& target) -> Status {
+  // `target` is null for a graph the collection's admission column ruled
+  // out; it is counted like a matcher that does not fit, at 0 steps.
+  auto match_one = [&](GraphId id, const MatchIndex* target) -> Status {
     if (CancelRequested(request)) {
       return Status::Cancelled("request cancelled between targets");
     }
@@ -580,7 +582,7 @@ QueryResult QueryService::RunMatch(const QueryRequest& request,
     }
     return s;
   };
-  auto match_many = [&](GraphId id, const MatchIndex& target) -> bool {
+  auto match_many = [&](GraphId id, const MatchIndex* target) -> bool {
     Status s = match_one(id, target);
     if (s.code() == StatusCode::kDeadlineExceeded) {
       truncate("deadline expired mid-collection");
@@ -595,15 +597,20 @@ QueryResult QueryService::RunMatch(const QueryRequest& request,
 
   if (!request.targets.empty()) {
     for (GraphId id : request.targets) {
-      if (!match_many(id, find(id))) return result;
+      if (!match_many(id, &find(id))) return result;
     }
   } else if (request.target == kAllGraphs) {
-    // The view keeps graphs() order, so matched_graphs does too.
+    // The view keeps graphs() order, so matched_graphs does too. The dense
+    // admission column rules most graphs out before their index is read.
     for (size_t i = 0; i < indexes.size(); ++i) {
-      if (!match_many(indexes.id(i), indexes.at(i))) return result;
+      const MatchIndex* target =
+          Admits(plan, indexes.admission(i), options_.match_options)
+              ? &indexes.at(i)
+              : nullptr;
+      if (!match_many(indexes.id(i), target)) return result;
     }
   } else {
-    Status s = match_one(request.target, find(request.target));
+    Status s = match_one(request.target, &find(request.target));
     if (s.code() == StatusCode::kDeadlineExceeded) {
       truncate("deadline expired while matching");
       return result;
@@ -660,7 +667,7 @@ std::shared_ptr<const QueryService::View> QueryService::PinView() {
 }
 
 Status QueryService::CountWithDeadline(const PatternPlan& pattern,
-                                       const MatchIndex& target,
+                                       const MatchIndex* target,
                                        const QueryRequest& request,
                                        const Stopwatch& admitted,
                                        uint64_t* count, QueryResult* result) {
@@ -679,16 +686,27 @@ Status QueryService::CountWithDeadline(const PatternPlan& pattern,
 
   MatchOptions opts = options_.match_options;
   opts.max_embeddings = request.max_embeddings;
+  // One slice: a count under `max_steps`, true when it hit the budget. A
+  // ruled-out target (null) finds nothing at 0 steps and never hits it, as
+  // a matcher over a pair that does not fit would.
+  auto run_slice = [&](uint64_t max_steps) {
+    result->match_slices += 1;
+    if (target == nullptr) {
+      *count = 0;
+      return false;
+    }
+    opts.max_steps = max_steps;
+    SubgraphMatcher matcher(pattern, *target, opts);
+    *count = matcher.CountEmbeddings();
+    result->match_steps += matcher.steps();
+    return matcher.hit_step_limit();
+  };
   if (request.deadline_ms <= 0) {
-    opts.max_steps = 0;
     if (CancelRequested(request)) {
       return Status::Cancelled("request cancelled before matching");
     }
     VQI_RETURN_IF_ERROR(slice_fault());
-    SubgraphMatcher matcher(pattern, target, opts);
-    *count = matcher.CountEmbeddings();
-    result->match_steps += matcher.steps();
-    result->match_slices += 1;
+    run_slice(0);
     return Status::OK();
   }
   // The matcher cannot pause/resume, so the cooperative budget hook
@@ -702,14 +720,9 @@ Status QueryService::CountWithDeadline(const PatternPlan& pattern,
       return Status::Cancelled("request cancelled at slice boundary");
     }
     VQI_RETURN_IF_ERROR(slice_fault());
-    opts.max_steps = slice;
-    SubgraphMatcher matcher(pattern, target, opts);
     // Each slice recounts from scratch, so overwrite rather than accumulate:
     // after a deadline the last value is the best lower bound found.
-    *count = matcher.CountEmbeddings();
-    result->match_steps += matcher.steps();
-    result->match_slices += 1;
-    if (!matcher.hit_step_limit()) return Status::OK();
+    if (!run_slice(slice)) return Status::OK();
     if (admitted.ElapsedMillis() >= request.deadline_ms) {
       return Status::DeadlineExceeded("deadline expired mid-match");
     }

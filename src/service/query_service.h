@@ -215,9 +215,11 @@ class QueryService {
   /// cooperative step slices. Returns OK when the count completed,
   /// kDeadlineExceeded when the deadline expired first (*count then holds the
   /// partial lower bound from the final slice), or an injected vf2_slice
-  /// fault status. Accumulates slice/step telemetry into `result`.
+  /// fault status. Accumulates slice/step telemetry into `result`. A null
+  /// `target` is a graph the admission column ruled out: one slice, with its
+  /// cancellation check and fault draw, at 0 steps.
   Status CountWithDeadline(const PatternPlan& pattern,
-                           const MatchIndex& target,
+                           const MatchIndex* target,
                            const QueryRequest& request,
                            const Stopwatch& admitted, uint64_t* count,
                            QueryResult* result);

@@ -33,6 +33,30 @@ def render(diag):
     return f"{diag['rel']}:{diag['line']}: [{diag['rule']}] {diag['message']}"
 
 
+def vet_report(path, passes):
+    """Prints the findings of `passes` in a report a full run wrote with
+    --json, so several per-pass checks share one parse. Exit code as for a
+    run of those passes; 2 when the report is unreadable or lacks a pass."""
+    try:
+        report = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as e:
+        print(f"vqi_analyze: cannot read report {path}: {e}", file=sys.stderr)
+        return 2
+    diagnostics = []
+    for name in passes:
+        entry = report.get("passes", {}).get(name)
+        if entry is None:
+            print(f"vqi_analyze: report {path} holds no {name} pass",
+                  file=sys.stderr)
+            return 2
+        diagnostics += entry["diagnostics"]
+    for d in diagnostics:
+        print(render(d))
+    print(f"vqi_analyze: report {path}, passes: {', '.join(passes)}, "
+          f"{len(diagnostics)} finding(s)", file=sys.stderr)
+    return 1 if diagnostics else 0
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(
         prog="vqi_analyze",
@@ -44,6 +68,10 @@ def main(argv=None):
                     help=f"run only the given pass(es); one of {PASS_NAMES}")
     ap.add_argument("--json", dest="json_out",
                     help="write the full machine-readable report here")
+    ap.add_argument("--from-report", metavar="JSON",
+                    help="report the selected passes' findings from a "
+                         "report an earlier run wrote with --json, "
+                         "without parsing the sources again")
     ap.add_argument("--write-baseline", action="store_true",
                     help="regenerate tools/vqi_analyze/lock_order.expected "
                          "from the discovered edges")
@@ -55,6 +83,8 @@ def main(argv=None):
     if args.self_test:
         from . import selftest
         return selftest.run()
+    if args.from_report:
+        return vet_report(args.from_report, list(args.passes or PASS_NAMES))
 
     root = Path(args.root)
     if not (root / "src").is_dir():
@@ -116,20 +146,24 @@ def main(argv=None):
         diagnostics += r["diagnostics"]
 
     # A waiver that suppresses nothing is stale and must go. Judged per
-    # rule, so a pass-filtered run only vets the waivers its passes own.
-    waiver_rules_ran = set()
+    # rule, so a pass-filtered run only vets the waivers its passes own, and
+    # the finding belongs to the pass that owns the waiver's rule.
+    waiver_owner = {}
     if "blocking" in passes:
-        waiver_rules_ran |= set(blocking.RULES)
+        waiver_owner.update((rule, "blocking") for rule in blocking.RULES)
     if "condvar" in passes:
-        waiver_rules_ran.add(condvar.RULE)
+        waiver_owner[condvar.RULE] = "condvar"
     for rel, facts in sorted(model.files.items()):
         for line, (rule, _just) in sorted(facts.waivers.items()):
-            if rule in waiver_rules_ran and (rel, line) not in used_waivers:
-                diagnostics.append({
+            owner = waiver_owner.get(rule)
+            if owner is not None and (rel, line) not in used_waivers:
+                diag = {
                     "rel": rel, "line": line, "rule": "unused-waiver",
                     "message": f"waiver allow({rule}) suppresses "
                                "nothing; remove it",
-                })
+                }
+                diagnostics.append(diag)
+                report["passes"][owner]["diagnostics"].append(diag)
 
     report["diagnostics"] = diagnostics
     if args.json_out:
